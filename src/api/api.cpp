@@ -243,20 +243,17 @@ std::vector<hist::op_desc> smoke_script(op_family family,
 // ---------------------------------------------------------------------------
 // harness
 
-harness::harness(int nprocs, sim::world_config wcfg,
-                 core::runtime::fail_policy policy, bool shared_cache,
-                 bool auto_persist, nvm::persist_model persist, run_config rcfg)
-    : world_(std::make_unique<sim::world>(nprocs, wcfg)),
-      rcfg_(std::move(rcfg)) {
-  if (shared_cache) {
+harness::harness(const world_policy& p)
+    : world_(std::make_unique<sim::world>(p.nprocs, p.wcfg)), pol_(p) {
+  if (p.shared_cache) {
     world_->domain().set_model(nvm::cache_model::shared_cache);
-    world_->domain().set_auto_persist(auto_persist);
+    world_->domain().set_auto_persist(p.auto_persist);
   }
-  world_->domain().set_persist_model(persist);
-  board_ = std::make_unique<core::announcement_board>(nprocs, world_->domain());
+  world_->domain().set_persist_model(p.persist);
+  board_ = std::make_unique<core::announcement_board>(p.nprocs, world_->domain());
   log_ = std::make_unique<hist::log>();
   rt_ = std::make_unique<core::runtime>(*world_, *log_, *board_);
-  rt_->set_fail_policy(policy);
+  rt_->set_fail_policy(p.fail);
 }
 
 object_handle harness::add(const std::string& kind,
@@ -348,19 +345,19 @@ sim::run_report harness::run() {
   prepare_run();
 
   std::unique_ptr<sim::scheduler> sched =
-      sched::make_scheduler(rcfg_.sched, rcfg_.sched_seed);
+      sched::make_scheduler(pol_.sched, pol_.sched_seed);
   std::unique_ptr<sim::crash_plan> crashes;
-  if (!rcfg_.crash_steps.empty()) {
-    crashes = std::make_unique<sim::crash_at_steps>(rcfg_.crash_steps);
-  } else if (rcfg_.crash_random) {
-    auto [seed, rate, max] = *rcfg_.crash_random;
+  if (!pol_.crash_steps.empty()) {
+    crashes = std::make_unique<sim::crash_at_steps>(pol_.crash_steps);
+  } else if (pol_.crash_random) {
+    auto [seed, rate, max] = *pol_.crash_random;
     crashes = std::make_unique<sim::random_crashes>(seed, rate, max);
   }
   return rt_->run(*sched, crashes.get());
 }
 
 void harness::reseed_crashes(std::uint64_t seed) {
-  if (rcfg_.crash_random) std::get<0>(*rcfg_.crash_random) = seed;
+  if (pol_.crash_random) std::get<0>(*pol_.crash_random) = seed;
 }
 
 std::unique_ptr<hist::spec> harness::spec() const {
@@ -402,13 +399,21 @@ void harness::drive_all() {
 // ---------------------------------------------------------------------------
 // arena
 
-object_handle arena::add(const std::string& kind, const object_params& params) {
+object_handle arena::add_as(std::uint32_t id, const std::string& kind,
+                            const object_params& params) {
+  if (by_id_.count(id) != 0) {
+    throw std::invalid_argument("arena: duplicate object id " +
+                                std::to_string(id));
+  }
   const kind_info& info = object_registry::global().at(kind);
   object_env env{nprocs_, board_, dom_};
   created_object created = info.make(env, params);
   core::detectable_object& primary = created.primary();
   for (auto& obj : created.owned) objects_.push_back(std::move(obj));
-  return object_handle(next_id_++, info.family, &primary, kind);
+  by_id_.emplace(id, &primary);
+  specs_.emplace_back(id, info.make_spec(params));
+  next_id_ = std::max(next_id_, id + 1);
+  return object_handle(id, info.family, &primary, kind);
 }
 
 }  // namespace detect::api

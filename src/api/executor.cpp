@@ -4,15 +4,11 @@
 #include "util/task_pool.hpp"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -33,12 +29,6 @@ exec_backend backend_from_name(const std::string& name) {
   if (name == "threads") return exec_backend::threads;
   throw std::invalid_argument("backend_from_name: unknown backend '" + name +
                               "'");
-}
-
-std::string executor::log_text() const {
-  std::ostringstream os;
-  for (const hist::event& e : events()) os << e.to_string() << '\n';
-  return os.str();
 }
 
 std::unique_ptr<executor> executor::builder::build() const {
@@ -64,29 +54,13 @@ void check_pid(int pid, int nprocs) {
       backend_name(b) + " backend runs exactly one world");
 }
 
-/// One harness configured per `p` — the building block of the single backend
-/// (one of them) and the sharded backend (one per shard).
-harness build_harness(const exec_policy& p) {
-  harness::builder b;
-  b.procs(p.nprocs).world(p.wcfg).fail_policy(p.fail);
-  if (p.sched_seed) b.seed(*p.sched_seed);
-  b.schedule(p.sched).persist(p.persist);
-  if (!p.crash_steps.empty()) b.crash_at(p.crash_steps);
-  if (p.crash_random) {
-    auto [seed, rate, max] = *p.crash_random;
-    b.crash_random(seed, rate, max);
-  }
-  if (p.shared_cache) b.shared_cache(p.auto_persist);
-  return b.build();
-}
-
 // ---------------------------------------------------------------------------
 // single — today's one-world harness, verbatim.
 
 class single_executor final : public executor {
  public:
   explicit single_executor(const exec_policy& p)
-      : pol_(p), h_(build_harness(p)) {}
+      : pol_(p), h_(p) {}
 
   exec_backend backend() const noexcept override {
     return exec_backend::single;
@@ -176,7 +150,7 @@ class sharded_executor final : public executor {
         pool_(shard_pool_workers(p.shards, p.pool_threads)) {
     shards_.reserve(static_cast<std::size_t>(p.shards));
     for (int k = 0; k < p.shards; ++k) {
-      shards_.push_back(std::make_unique<harness>(build_harness(p)));
+      shards_.push_back(std::make_unique<harness>(p));
     }
     installed_.resize(shards_.size());
   }
@@ -224,7 +198,7 @@ class sharded_executor final : public executor {
     harness& home = *shards_[static_cast<std::size_t>(shard)];
     object_handle handle = home.add_as(id, kind, params);
     placed_.emplace(id, placed_object{kind, params, shard, decl_index,
-                                      home.events().size(),
+                                      home.log().size(),
                                       {}});
     next_id_ = std::max(next_id_, id + 1);
     return handle;
@@ -296,7 +270,7 @@ class sharded_executor final : public executor {
     // earlier run's events on a high one.
     std::vector<std::size_t> mark(shards_.size());
     for (std::size_t k = 0; k < shards_.size(); ++k) {
-      mark[k] = shards_[k]->events().size();
+      mark[k] = shards_[k]->log().size();
     }
     round_marks_.push_back(std::move(mark));
 
@@ -352,7 +326,7 @@ class sharded_executor final : public executor {
     harness& dst = *shards_[static_cast<std::size_t>(shard)];
     dst.adopt_object(object_id, rec.kind, rec.params, image);
     rec.shard = shard;
-    rec.arrival = dst.events().size();
+    rec.arrival = dst.log().size();
     rec.moved = true;
     any_migrated_ = true;
   }
@@ -538,13 +512,14 @@ class sharded_executor final : public executor {
 };
 
 // ---------------------------------------------------------------------------
-// threads — free-running real threads (the arena path), with post-hoc
-// per-object checking: a lincheck-style stress driver.
+// threads — the world-less object host (api::arena) run by free-running
+// real threads, with post-hoc per-object checking: lincheck-style stress
+// testing.
 
 class threads_executor final : public executor {
  public:
   explicit threads_executor(const exec_policy& p)
-      : pol_(p), board_(p.nprocs, dom_) {}
+      : pol_(p), arena_(p.nprocs) {}
 
   exec_backend backend() const noexcept override {
     return exec_backend::threads;
@@ -562,24 +537,11 @@ class threads_executor final : public executor {
 
   object_handle add(const std::string& kind,
                     const object_params& params) override {
-    return add_as(next_id_, kind, params);
+    return arena_.add(kind, params);
   }
-
   object_handle add_as(std::uint32_t id, const std::string& kind,
                        const object_params& params) override {
-    if (by_id_.count(id) != 0) {
-      throw std::invalid_argument("executor: duplicate object id " +
-                                  std::to_string(id));
-    }
-    const kind_info& info = object_registry::global().at(kind);
-    object_env env{pol_.nprocs, board_, dom_};
-    created_object created = info.make(env, params);
-    core::detectable_object& primary = created.primary();
-    for (auto& obj : created.owned) objects_.push_back(std::move(obj));
-    next_id_ = std::max(next_id_, id + 1);
-    by_id_.emplace(id, &primary);
-    specs_.emplace_back(id, info.make_spec(params));
-    return object_handle(id, info.family, &primary, kind);
+    return arena_.add_as(id, kind, params);
   }
 
   void script(int pid, std::vector<hist::op_desc> ops) override {
@@ -626,8 +588,8 @@ class threads_executor final : public executor {
     }
     sim::run_report report;
     report.steps = total_ops;  // no simulator steps; report op count instead
-    report.nvm_cells = dom_.cells_attached();
-    report.nvm_bytes = dom_.bytes_attached();
+    report.nvm_cells = arena_.domain().cells_attached();
+    report.nvm_bytes = arena_.domain().bytes_attached();
     return report;
   }
 
@@ -638,32 +600,24 @@ class threads_executor final : public executor {
   std::vector<hist::event> events() const override { return log_.snapshot(); }
 
   hist::check_result check(const hist::check_options& opt) const override {
-    hist::object_spec_list specs;
-    for (const auto& [id, proto] : specs_) specs.emplace_back(id, proto.get());
-    return hist::check_durable_linearizability_per_object(log_.snapshot(),
-                                                          specs, opt);
+    return hist::check_durable_linearizability_per_object(
+        log_.snapshot(), arena_.object_specs(), opt);
   }
 
  private:
-  // The caller-side protocol of §2, same as core::runtime::announce_and_invoke
-  // but free-running: the log's mutex serializes appends, and since an op's
-  // invoke event precedes its first step and its response event follows its
-  // return, the recorded intervals contain the real ones — precedence derived
-  // from the log is sound for the linearizability check.
+  // The caller-side protocol of §2 (core::announce), free-running: the log's
+  // mutex serializes appends, and since an op's invoke event precedes its
+  // first step and its response event follows its return, the recorded
+  // intervals contain the real ones — precedence derived from the log is
+  // sound for the linearizability check.
   void client_thread(int pid, const std::vector<hist::op_desc>& ops,
                      std::uint64_t start_seq) {
-    core::ann_fields& ann = board_.of(pid);
+    core::ann_fields& ann = arena_.board().of(pid);
     std::uint64_t seq = start_seq;
     for (hist::op_desc desc : ops) {
       desc.client_seq = ++seq;
-      core::detectable_object& obj = *by_id_.at(desc.object);
-      ann.valid.store(0);
-      ann.op.store(desc);
-      if (obj.wants_aux_reset()) {
-        ann.resp.store(hist::k_bottom);
-        ann.cp.store(0);
-      }
-      ann.valid.store(1);
+      core::detectable_object& obj = arena_.object(desc.object);
+      core::announce(ann, desc, obj.wants_aux_reset());
       log_event(hist::event_kind::invoke, pid, desc);
       value_t v = obj.invoke(pid, desc);
       log_event(hist::event_kind::response, pid, desc, v);
@@ -681,15 +635,10 @@ class threads_executor final : public executor {
   }
 
   exec_policy pol_;
-  nvm::pmem_domain dom_;
-  core::announcement_board board_;
+  arena arena_;
   hist::log log_;
-  std::vector<std::unique_ptr<core::detectable_object>> objects_;
-  std::map<std::uint32_t, core::detectable_object*> by_id_;
-  std::vector<std::pair<std::uint32_t, std::unique_ptr<hist::spec>>> specs_;
   std::map<int, std::vector<hist::op_desc>> scripts_;
   std::map<int, std::size_t> done_;  // executed prefix per pid
-  std::uint32_t next_id_ = 0;
 };
 
 }  // namespace

@@ -46,9 +46,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "api/harness.hpp"
@@ -63,8 +61,9 @@ const char* backend_name(exec_backend b) noexcept;
 exec_backend backend_from_name(const std::string& name);
 
 /// Everything a backend needs to build itself — the builder's output and the
-/// one value scripted replays serialize.
-struct exec_policy {
+/// one value scripted replays serialize: the per-world knobs every backend
+/// reads (world_policy) plus the backend-level ones.
+struct exec_policy : world_policy {
   exec_backend backend = exec_backend::single;
   int shards = 1;  // sharded backend: number of sim::world shards
   /// Sharded backend: which shard hosts each object (see api/placement.hpp).
@@ -75,18 +74,6 @@ struct exec_policy {
   /// 1 means "run shards sequentially inline" (one worker would only add
   /// handoff latency over the submitter's own loop).
   int pool_threads = 0;
-  int nprocs = 2;
-  core::runtime::fail_policy fail = core::runtime::fail_policy::skip;
-  bool shared_cache = false;
-  bool auto_persist = true;
-  /// Persistency-visibility model (strict / buffered; see nvm::persist_model).
-  nvm::persist_model persist = nvm::persist_model::strict;
-  sim::world_config wcfg;
-  std::optional<std::uint64_t> sched_seed;  // nullopt → round robin
-  /// Schedule-exploration strategy `sched_seed` drives (see detect::sched).
-  sched::sched_policy sched;
-  std::vector<std::uint64_t> crash_steps;
-  std::optional<std::tuple<std::uint64_t, double, std::uint64_t>> crash_random;
 };
 
 class executor {
@@ -203,19 +190,13 @@ class executor {
   virtual hist::check_result check(
       const hist::check_options& opt = {}) const = 0;
 
-  /// Deprecated pre-check_options form (thin shim; prefer check(options)).
-  hist::check_result check(std::size_t node_budget,
-                           hist::lin_memo* memo = nullptr) const {
-    hist::check_options opt;
-    opt.node_budget = node_budget;
-    opt.memo = memo;
-    return check(opt);
-  }
-
-  std::string log_text() const;
+  /// events() rendered one event per line (see hist::log_text).
+  std::string log_text() const { return hist::log_text(events()); }
 };
 
-class executor::builder {
+/// The per-world setters (procs, seed, crash plans, memory models, ...)
+/// come from world_setters; the rest select and shape the backend.
+class executor::builder : public world_setters<executor::builder, exec_policy> {
  public:
   builder& backend(exec_backend b) {
     pol_.backend = b;
@@ -245,78 +226,14 @@ class executor::builder {
     pol_.pool_threads = n;
     return *this;
   }
-  builder& procs(int n) {
-    pol_.nprocs = n;
-    return *this;
-  }
-  builder& max_steps(std::uint64_t n) {
-    pol_.wcfg.max_steps = n;
-    return *this;
-  }
-  builder& fail_policy(core::runtime::fail_policy p) {
-    pol_.fail = p;
-    return *this;
-  }
   /// Strand engine for the simulated worlds (fiber or thread; see
   /// sim/strand.hpp). Default: the process-global sim::default_engine().
   builder& engine(sim::engine_kind e) {
     pol_.wcfg.engine = e;
     return *this;
   }
-  /// Seeded random scheduler for run(); default is round robin.
-  builder& seed(std::uint64_t s) {
-    pol_.sched_seed = s;
-    return *this;
-  }
-  /// Schedule-exploration strategy the seed drives: round_robin,
-  /// uniform_random (default), or pct with explicit preemption points.
-  builder& schedule(sched::sched_policy p) {
-    pol_.sched = std::move(p);
-    return *this;
-  }
-  /// Persistency-visibility model. Default strict; buffered makes stores
-  /// crash-persistent only at flush/epoch boundaries.
-  builder& persist(nvm::persist_model m) {
-    pol_.persist = m;
-    return *this;
-  }
-  /// Store-buffer visibility model between live processes (sc / tso / pso;
-  /// see wmm::visibility_model). Default sc. Orthogonal to persist():
-  /// buffered stores drain before they persist or journal. build() rejects
-  /// tso/pso on the threads backend (store buffers need the simulated
-  /// world's step token).
-  builder& visibility(wmm::visibility_model m) {
-    pol_.wcfg.visibility = m;
-    return *this;
-  }
-  /// Scripted full-drain steps under tso/pso, keyed on the (shard-local)
-  /// step counter like crash_at (see sim::world_config::drain_points).
-  builder& drain_at(std::vector<std::uint64_t> steps) {
-    pol_.wcfg.drain_points = std::move(steps);
-    return *this;
-  }
-  /// Crash when the (shard-local) step counter hits each listed value.
-  builder& crash_at(std::vector<std::uint64_t> steps) {
-    pol_.crash_steps = std::move(steps);
-    return *this;
-  }
-  /// Crash with probability `rate` before each step, at most `max` times.
-  builder& crash_random(std::uint64_t s, double rate, std::uint64_t max) {
-    pol_.crash_random = {s, rate, max};
-    return *this;
-  }
-  /// Shared-cache memory model; `auto_persist` applies the §6 syntactic
-  /// flush/fence transformation to every shared access.
-  builder& shared_cache(bool auto_persist = true) {
-    pol_.shared_cache = true;
-    pol_.auto_persist = auto_persist;
-    return *this;
-  }
 
   std::unique_ptr<executor> build() const;
-
- private:
-  exec_policy pol_;
 };
 
 /// Instantiate the backend `p` selects. Throws std::invalid_argument on

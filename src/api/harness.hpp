@@ -43,9 +43,104 @@
 
 namespace detect::api {
 
+/// The per-world run configuration: everything one simulated world, and the
+/// harness that drives it, needs. harness is built from one; the executor's
+/// exec_policy extends it with the backend-level knobs.
+struct world_policy {
+  int nprocs = 2;
+  core::runtime::fail_policy fail = core::runtime::fail_policy::skip;
+  bool shared_cache = false;
+  bool auto_persist = true;
+  /// Persistency-visibility model (strict / buffered; see nvm::persist_model).
+  nvm::persist_model persist = nvm::persist_model::strict;
+  sim::world_config wcfg;
+  std::optional<std::uint64_t> sched_seed;  // nullopt → round robin
+  /// Schedule-exploration strategy `sched_seed` drives (see detect::sched).
+  sched::sched_policy sched;
+  std::vector<std::uint64_t> crash_steps;
+  std::optional<std::tuple<std::uint64_t, double, std::uint64_t>> crash_random;
+};
+
+/// The per-world setters, written once for every builder over a policy
+/// derived from world_policy. CRTP: each setter returns the concrete
+/// `Builder&`, so backend-specific setters chain in any order.
+template <typename Builder, typename Policy>
+class world_setters {
+ public:
+  Builder& procs(int n) {
+    pol_.nprocs = n;
+    return self();
+  }
+  Builder& max_steps(std::uint64_t n) {
+    pol_.wcfg.max_steps = n;
+    return self();
+  }
+  Builder& fail_policy(core::runtime::fail_policy p) {
+    pol_.fail = p;
+    return self();
+  }
+  /// Seeded random scheduler for run(); default is round robin.
+  Builder& seed(std::uint64_t s) {
+    pol_.sched_seed = s;
+    return self();
+  }
+  /// Schedule-exploration strategy the seed drives: round_robin,
+  /// uniform_random (default), or pct with explicit preemption points.
+  Builder& schedule(sched::sched_policy p) {
+    pol_.sched = std::move(p);
+    return self();
+  }
+  /// Persistency-visibility model. Default strict; buffered makes stores
+  /// crash-persistent only at flush/epoch boundaries.
+  Builder& persist(nvm::persist_model m) {
+    pol_.persist = m;
+    return self();
+  }
+  /// Store-buffer visibility model between live processes (sc / tso / pso;
+  /// see wmm::visibility_model). Default sc, the historical interleaving
+  /// semantics. Orthogonal to persist(): buffered stores drain before they
+  /// persist or journal.
+  Builder& visibility(wmm::visibility_model m) {
+    pol_.wcfg.visibility = m;
+    return self();
+  }
+  /// Scripted full-drain steps under tso/pso, keyed on the (world-local)
+  /// step counter like crash_at (see sim::world_config::drain_points).
+  Builder& drain_at(std::vector<std::uint64_t> steps) {
+    pol_.wcfg.drain_points = std::move(steps);
+    return self();
+  }
+  /// Crash when the (world-local) step counter hits each listed value.
+  Builder& crash_at(std::vector<std::uint64_t> steps) {
+    pol_.crash_steps = std::move(steps);
+    return self();
+  }
+  /// Crash with probability `rate` before each step, at most `max` times.
+  Builder& crash_random(std::uint64_t s, double rate, std::uint64_t max) {
+    pol_.crash_random = {s, rate, max};
+    return self();
+  }
+  /// Shared-cache memory model; `auto_persist` applies the §6 syntactic
+  /// flush/fence transformation to every shared access.
+  Builder& shared_cache(bool auto_persist = true) {
+    pol_.shared_cache = true;
+    pol_.auto_persist = auto_persist;
+    return self();
+  }
+
+ protected:
+  Builder& self() { return static_cast<Builder&>(*this); }
+
+  Policy pol_;
+};
+
 class harness {
  public:
   class builder;
+
+  /// One world wired per `p` (the builder's output; the single and sharded
+  /// executors build theirs straight from their exec_policy).
+  explicit harness(const world_policy& p);
 
   // ---- object creation -----------------------------------------------------
 
@@ -158,16 +253,6 @@ class harness {
         log_->snapshot(), object_specs(), opt);
   }
 
-  /// Deprecated pre-check_options form (thin shim; prefer the overload
-  /// above).
-  hist::check_result check_per_object(std::size_t node_budget,
-                                      hist::lin_memo* memo = nullptr) const {
-    hist::check_options opt;
-    opt.node_budget = node_budget;
-    opt.memo = memo;
-    return check_per_object(opt);
-  }
-
   /// (id, spec) of every object added so far; specs stay owned by the
   /// harness.
   hist::object_spec_list object_specs() const {
@@ -177,7 +262,7 @@ class harness {
   }
 
   std::vector<hist::event> events() const { return log_->snapshot(); }
-  std::string log_text() const { return log_->to_string(); }
+  std::string log_text() const { return hist::log_text(log_->snapshot()); }
 
   // ---- manual-driving helpers (proof-schedule harnesses) --------------------
 
@@ -212,17 +297,6 @@ class harness {
   nvm::pmem_domain& domain() noexcept { return world_->domain(); }
 
  private:
-  struct run_config {
-    std::optional<std::uint64_t> sched_seed;  // nullopt → round robin
-    sched::sched_policy sched;                // strategy the seed drives
-    std::vector<std::uint64_t> crash_steps;
-    std::optional<std::tuple<std::uint64_t, double, std::uint64_t>> crash_random;
-  };
-
-  harness(int nprocs, sim::world_config wcfg, core::runtime::fail_policy policy,
-          bool shared_cache, bool auto_persist, nvm::persist_model persist,
-          run_config rcfg);
-
   // Shared-cache and buffered-persistency setups start from a fully
   // persisted image (the objects' initialization stores are not part of the
   // measured execution).
@@ -251,106 +325,49 @@ class harness {
   std::map<std::uint32_t, hosted_object> hosted_;
   std::vector<std::pair<std::uint32_t, std::unique_ptr<hist::spec>>> specs_;
   std::uint32_t next_id_ = 0;
-  run_config rcfg_;
+  world_policy pol_;
 };
 
-class harness::builder {
+class harness::builder : public world_setters<harness::builder, world_policy> {
  public:
-  builder& procs(int n) {
-    nprocs_ = n;
-    return *this;
-  }
-  builder& max_steps(std::uint64_t n) {
-    wcfg_.max_steps = n;
-    return *this;
-  }
-  /// Wholesale world_config (max_steps, engine, visibility, drain points) —
-  /// how the executor layer forwards its assembled config per shard.
-  builder& world(sim::world_config w) {
-    wcfg_ = std::move(w);
-    return *this;
-  }
-  builder& fail_policy(core::runtime::fail_policy p) {
-    policy_ = p;
-    return *this;
-  }
-  /// Seeded random scheduler for run(); default is round robin.
-  builder& seed(std::uint64_t s) {
-    rcfg_.sched_seed = s;
-    return *this;
-  }
-  /// Schedule-exploration strategy the seed drives (see detect::sched).
-  /// Default: uniform_random, i.e. the historical seeded behavior.
-  builder& schedule(sched::sched_policy p) {
-    rcfg_.sched = std::move(p);
-    return *this;
-  }
-  /// Persistency-visibility model (see nvm::persist_model). Default strict.
-  builder& persist(nvm::persist_model m) {
-    persist_ = m;
-    return *this;
-  }
-  /// Store-buffer visibility model between live processes (see
-  /// wmm::visibility_model). Default sc — the historical interleaving
-  /// semantics. Orthogonal to persist(): drains order before persists.
-  builder& visibility(wmm::visibility_model m) {
-    wcfg_.visibility = m;
-    return *this;
-  }
-  /// Scripted full-drain steps (tso/pso only; see world_config::drain_points).
-  builder& drain_at(std::vector<std::uint64_t> steps) {
-    wcfg_.drain_points = std::move(steps);
-    return *this;
-  }
-  /// Crash exactly when the global step counter hits each listed value.
-  builder& crash_at(std::vector<std::uint64_t> steps) {
-    rcfg_.crash_steps = std::move(steps);
-    return *this;
-  }
-  /// Crash with probability `rate` before each step, at most `max` times.
-  builder& crash_random(std::uint64_t s, double rate, std::uint64_t max) {
-    rcfg_.crash_random = {s, rate, max};
-    return *this;
-  }
-  /// Shared-cache memory model; `auto_persist` applies the §6 syntactic
-  /// flush/fence transformation to every shared access.
-  builder& shared_cache(bool auto_persist = true) {
-    shared_cache_ = true;
-    auto_persist_ = auto_persist;
-    return *this;
-  }
-
-  harness build() {
-    return harness(nprocs_, wcfg_, policy_, shared_cache_, auto_persist_,
-                   persist_, rcfg_);
-  }
-
- private:
-  int nprocs_ = 2;
-  sim::world_config wcfg_;
-  core::runtime::fail_policy policy_ = core::runtime::fail_policy::skip;
-  bool shared_cache_ = false;
-  bool auto_persist_ = false;
-  nvm::persist_model persist_ = nvm::persist_model::strict;
-  run_config rcfg_;
+  harness build() const { return harness(pol_); }
 };
 
-/// Free-running façade for real-thread benchmarks: the emulated NVM domain
-/// and announcement board without a simulated world. Objects still come from
-/// the registry; `reset_aux` performs the caller-side auxiliary reset the
-/// client runtime would do (skipped for objects that declare they need none).
+/// The world-less object host: the emulated NVM domain and announcement
+/// board without a simulated world, holding registry objects under unique
+/// ids together with their sequential specs. The threads executor backend is
+/// this host plus client threads and a history log; the E6 throughput bench
+/// uses it directly, invoking objects with no history log at all, so that
+/// only the objects and the caller's auxiliary resets are timed.
 class arena {
  public:
   explicit arena(int nprocs) : nprocs_(nprocs), board_(nprocs, dom_) {}
 
-  object_handle add(const std::string& kind, const object_params& params = {});
-
-  /// Ann_p.resp := ⊥, Ann_p.CP := 0 — Definition 1's auxiliary state,
-  /// provided by the caller before each invocation.
-  void reset_aux(int pid) {
-    board_.of(pid).resp.store(hist::k_bottom);
-    board_.of(pid).cp.store(0);
+  /// Instantiate a registry kind under a fresh id.
+  object_handle add(const std::string& kind, const object_params& params = {}) {
+    return add_as(next_id_, kind, params);
   }
+
+  /// Same, under a caller-chosen id. Throws std::invalid_argument when `id`
+  /// is already taken.
+  object_handle add_as(std::uint32_t id, const std::string& kind,
+                       const object_params& params = {});
+
+  /// The object hosted under `id`; throws std::out_of_range when unknown.
+  core::detectable_object& object(std::uint32_t id) const {
+    return *by_id_.at(id);
+  }
+
+  /// (id, spec) of every object added so far; specs stay owned by the arena.
+  hist::object_spec_list object_specs() const {
+    hist::object_spec_list out;
+    for (const auto& [id, proto] : specs_) out.emplace_back(id, proto.get());
+    return out;
+  }
+
+  /// The caller-side auxiliary reset of `pid`'s announcement (see
+  /// core::reset_aux), for callers that invoke objects directly.
+  void reset_aux(int pid) { core::reset_aux(board_.of(pid)); }
 
   int nprocs() const noexcept { return nprocs_; }
   nvm::pmem_domain& domain() noexcept { return dom_; }
@@ -361,6 +378,8 @@ class arena {
   nvm::pmem_domain dom_;
   core::announcement_board board_;
   std::vector<std::unique_ptr<core::detectable_object>> objects_;
+  std::map<std::uint32_t, core::detectable_object*> by_id_;
+  std::vector<std::pair<std::uint32_t, std::unique_ptr<hist::spec>>> specs_;
   std::uint32_t next_id_ = 0;
 };
 

@@ -123,7 +123,6 @@ scripted_outcome replay_impl(const scripted_scenario& s, bool check,
     out.check = ex->check(salted);
   }
   out.events = ex->events();
-  out.log_text = ex->log_text();
   return out;
 }
 
@@ -135,12 +134,6 @@ scripted_outcome replay(const scripted_scenario& s) {
 
 scripted_outcome replay(const scripted_scenario& s,
                         const hist::check_options& opt) {
-  return replay_impl(s, /*check=*/true, opt);
-}
-
-scripted_outcome replay(const scripted_scenario& s, hist::lin_memo* memo) {
-  hist::check_options opt;
-  opt.memo = memo;
   return replay_impl(s, /*check=*/true, opt);
 }
 

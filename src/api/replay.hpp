@@ -119,7 +119,6 @@ struct scripted_outcome {
   sim::run_report report;
   hist::check_result check;
   std::vector<hist::event> events;
-  std::string log_text;
 };
 
 /// Build an executor for `s` (instantiating every declared object from the
@@ -134,9 +133,6 @@ scripted_outcome replay(const scripted_scenario& s);
 /// (`jobs` — see hist::check_options).
 scripted_outcome replay(const scripted_scenario& s,
                         const hist::check_options& opt);
-
-/// Deprecated memo-only form (thin shim; prefer replay(s, options)).
-scripted_outcome replay(const scripted_scenario& s, hist::lin_memo* memo);
 
 /// Same, but skip the (potentially expensive) durable-linearizability check;
 /// `check` is left defaulted.

@@ -40,6 +40,26 @@ struct ann_fields {
   nvm::pvar<std::uint64_t> done_seq;
 };
 
+/// Ann_p.resp := ⊥, Ann_p.CP := 0 — Definition 1's auxiliary state, provided
+/// by the caller before each invocation.
+inline void reset_aux(ann_fields& ann) {
+  ann.resp.store(hist::k_bottom);
+  ann.cp.store(0);
+}
+
+/// The caller-side announcement of §2, written immediately before invoking
+/// `desc`: invalidate, publish the op, reset the auxiliary state unless the
+/// object declares it needs none (`aux_reset` = wants_aux_reset()), and mark
+/// the announcement valid. Every caller — the simulated runtime, the
+/// real-thread executor — goes through this one sequence of stores.
+inline void announce(ann_fields& ann, const hist::op_desc& desc,
+                     bool aux_reset) {
+  ann.valid.store(0);
+  ann.op.store(desc);
+  if (aux_reset) reset_aux(ann);
+  ann.valid.store(1);
+}
+
 /// The announcement structures of all N processes. Shared by every object a
 /// process uses (a process runs one operation at a time).
 class announcement_board {

@@ -25,11 +25,7 @@ class nrl_adapter final : public detectable_object {
     if (r.verdict == hist::recovery_verdict::linearized) return r;
     // Not linearized: NRL re-attempts to completion. A crash inside the
     // re-attempt re-enters this recovery with a fresh capsule.
-    ann_fields& ann = board_->of(pid);
-    if (inner_->wants_aux_reset()) {
-      ann.resp.store(hist::k_bottom);
-      ann.cp.store(0);
-    }
+    if (inner_->wants_aux_reset()) reset_aux(board_->of(pid));
     return recovery_result::linearized(inner_->invoke(pid, op));
   }
 

@@ -87,14 +87,7 @@ class runtime {
   /// harnesses (Theorem 2) can drive single ops manually.
   void announce_and_invoke(int pid, hist::op_desc desc) {
     detectable_object& obj = *objects_.at(desc.object);
-    ann_fields& ann = board_->of(pid);
-    ann.valid.store(0);
-    ann.op.store(desc);
-    if (obj.wants_aux_reset()) {
-      ann.resp.store(hist::k_bottom);
-      ann.cp.store(0);
-    }
-    ann.valid.store(1);
+    announce(board_->of(pid), desc, obj.wants_aux_reset());
     log_event(hist::event_kind::invoke, pid, desc);
     value_t v = obj.invoke(pid, desc);
     log_event(hist::event_kind::response, pid, desc, v);

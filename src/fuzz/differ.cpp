@@ -327,7 +327,7 @@ std::string check_scenario(const api::scripted_scenario& s, bool diff,
   }
   if (!primary.check.ok) {
     return "checker rejected " + primary_kind + ": " + primary.check.message +
-           "\n" + primary.log_text;
+           "\n" + hist::log_text(primary.events);
   }
 
   // Single-vs-sharded equivalence, whenever the scenario carries a shard

@@ -126,11 +126,9 @@ api::scripted_scenario shrink(api::scripted_scenario s,
     // strict) schedule and schedule-dependent ones keep only the preemption
     // points they actually need.
     progress |= try_edit(s, fails, [](api::scripted_scenario& c) {
-      if (c.sched == sched::sched_policy{.strat =
-                                             sched::strategy::round_robin}) {
-        return false;
-      }
-      c.sched = {.strat = sched::strategy::round_robin};
+      const sched::sched_policy round_robin{sched::strategy::round_robin, {}};
+      if (c.sched == round_robin) return false;
+      c.sched = round_robin;
       return true;
     });
     progress |= try_edit(s, fails, [](api::scripted_scenario& c) {

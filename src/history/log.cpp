@@ -4,9 +4,9 @@
 
 namespace detect::hist {
 
-std::string log::to_string() const {
+std::string log_text(const std::vector<event>& events) {
   std::ostringstream os;
-  for (const event& e : snapshot()) os << e.to_string() << '\n';
+  for (const event& e : events) os << e.to_string() << '\n';
   return os.str();
 }
 

@@ -15,6 +15,7 @@
 
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "history/event.hpp"
@@ -63,8 +64,6 @@ class log {
     return blocks_.size();
   }
 
-  std::string to_string() const;
-
  private:
   void grow_locked() {
     if (blocks_used_ < blocks_.size()) {
@@ -80,5 +79,9 @@ class log {
   std::size_t blocks_used_ = 0;  // blocks the current contents span
   std::size_t used_ = 0;         // total events appended since clear()
 };
+
+/// `events` rendered one event per line — the one text form of a history,
+/// shared by every log_text() accessor and by failure messages.
+std::string log_text(const std::vector<event>& events);
 
 }  // namespace detect::hist

@@ -62,7 +62,7 @@ TEST(check_parallel, jobs4_matches_serial_on_500_seed_corpus) {
     fanout.memo = &memo;  // cross-scenario sharing, under concurrent lanes
     api::scripted_outcome four = api::replay(s, fanout);
 
-    ASSERT_EQ(one.log_text, four.log_text) << "seed " << seed;
+    ASSERT_EQ(hist::log_text(one.events), hist::log_text(four.events)) << "seed " << seed;
     expect_same_check(one.check, four.check, seed);
   }
   // The shared memo genuinely absorbed repeat sub-histories across the
@@ -205,26 +205,6 @@ TEST(check_parallel, shared_memo_is_thread_safe_under_parallel_checks) {
   for (std::thread& th : threads) th.join();
   for (int t = 0; t < 4; ++t) EXPECT_EQ(mismatches[t], 0) << "thread " << t;
   EXPECT_GT(memo.hits(), 0u);
-}
-
-// The deprecated two-arg entry points must stay exact aliases of the
-// options form — downstream callers migrate at their own pace.
-TEST(check_parallel, deprecated_shims_alias_the_options_form) {
-  fuzz::gen_config cfg;
-  cfg.max_objects = 2;
-  cfg.object_kind_pool = {"reg", "queue"};
-  api::scripted_scenario s = fuzz::generate(77, "queue", cfg);
-  api::scripted_outcome base = api::replay(s);
-
-  hist::lin_memo memo;
-  api::scripted_outcome via_memo_shim = api::replay(s, &memo);
-  expect_same_check(base.check, via_memo_shim.check, 77);
-
-  hist::check_options opt;
-  opt.memo = &memo;
-  api::scripted_outcome via_options = api::replay(s, opt);
-  expect_same_check(base.check, via_options.check, 77);
-  EXPECT_GT(memo.hits() + memo.misses(), 0u);
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ TEST(EngineABTest, FiberAndThreadReplaysIdenticalOn500SeedCorpus) {
     sim::set_default_engine(sim::engine_kind::thread);
     api::scripted_outcome thr = api::replay(s);
 
-    ASSERT_EQ(fib.log_text, thr.log_text) << "seed " << seed;
+    ASSERT_EQ(hist::log_text(fib.events), hist::log_text(thr.events)) << "seed " << seed;
     expect_same_events(fib.events, thr.events, seed);
     ASSERT_EQ(fib.check.ok, thr.check.ok)
         << "seed " << seed << "\nfiber: " << fib.check.message

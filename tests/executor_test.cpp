@@ -84,6 +84,122 @@ TEST(executor_single, behavior_matches_the_harness) {
   EXPECT_EQ(ex->shard_of(1), 0);
 }
 
+// Every per-world setter reaches the world the same way through both
+// builders: one fixed script per setter, run through harness::builder and
+// through the single-backend executor builder, must leave identical logs and
+// run reports. The executor exposes no world, so its describe_schedule()
+// content (scheduler, visibility model, pending stores) is compared through
+// the step-limit note of a capped rerun, which quotes the same description.
+// Each case must also be observable — distinct from every other case and
+// from the default run — so a setter that stops reaching the world fails
+// here rather than silently matching the default on both sides.
+struct setter_run {
+  std::string log;
+  std::string describe;  // harness only: h.world().describe_schedule()
+  sim::run_report report;
+  std::string capped_note;
+};
+
+template <typename Builder>
+void script_setter_workload(Builder& target) {
+  api::counter c = target.add_counter();
+  api::reg r = target.add_reg();
+  target.script(0, {c.add(1), r.write(1), c.add(2), r.read()});
+  target.script(1, {r.write(2), c.read(), c.add(3), r.read()});
+}
+
+template <typename Set>
+setter_run run_setter_on_harness(Set set, std::uint64_t cap = 0) {
+  api::harness::builder b;
+  b.procs(2);
+  set(b);
+  if (cap != 0) b.max_steps(cap);
+  api::harness h = b.build();
+  script_setter_workload(h);
+  setter_run out;
+  out.report = h.run();
+  out.log = h.log_text();
+  out.describe = h.world().describe_schedule();
+  return out;
+}
+
+template <typename Set>
+setter_run run_setter_on_executor(Set set, std::uint64_t cap = 0) {
+  api::executor::builder b;
+  b.backend(exec_backend::single).procs(2);
+  set(b);
+  if (cap != 0) b.max_steps(cap);
+  std::unique_ptr<api::executor> ex = b.build();
+  script_setter_workload(*ex);
+  setter_run out;
+  out.report = ex->run();
+  out.log = ex->log_text();
+  return out;
+}
+
+template <typename Set>
+setter_run expect_same_world(const std::string& name, Set set) {
+  setter_run h = run_setter_on_harness(set);
+  setter_run e = run_setter_on_executor(set);
+  EXPECT_EQ(h.log, e.log) << name;
+  EXPECT_EQ(h.report.steps, e.report.steps) << name;
+  EXPECT_EQ(h.report.crashes, e.report.crashes) << name;
+  EXPECT_EQ(h.report.hit_step_limit, e.report.hit_step_limit) << name;
+  EXPECT_EQ(h.report.limit_note, e.report.limit_note) << name;
+  EXPECT_EQ(h.report.lost_persistence, e.report.lost_persistence) << name;
+  EXPECT_EQ(h.report.nvm_cells, e.report.nvm_cells) << name;
+  EXPECT_EQ(h.report.drain_steps, e.report.drain_steps) << name;
+  EXPECT_EQ(h.report.max_pending_stores, e.report.max_pending_stores) << name;
+
+  constexpr std::uint64_t k_cap = 6;
+  h.capped_note = run_setter_on_harness(set, k_cap).report.limit_note;
+  e.capped_note = run_setter_on_executor(set, k_cap).report.limit_note;
+  EXPECT_FALSE(h.capped_note.empty()) << name;
+  EXPECT_EQ(h.capped_note, e.capped_note) << name;
+  return h;
+}
+
+TEST(executor_single, every_world_setter_matches_the_harness_builder) {
+  sched::sched_policy pct;
+  pct.strat = sched::strategy::pct;
+  pct.pct_points = {3, 8};
+  using fail = core::runtime::fail_policy;
+
+  std::vector<std::pair<std::string, setter_run>> runs;
+  auto add = [&runs](const std::string& name, auto set) {
+    runs.emplace_back(name, expect_same_world(name, set));
+  };
+  add("default", [](auto&) {});
+  add("seed", [](auto& b) { b.seed(7); });
+  add("pct", [&pct](auto& b) { b.seed(7).schedule(pct); });
+  add("crash_at", [](auto& b) { b.crash_at({14}); });
+  add("buffered", [](auto& b) {
+    b.persist(nvm::persist_model::buffered).crash_at({14});
+  });
+  add("tso", [](auto& b) { b.visibility(wmm::visibility_model::tso); });
+  add("tso_drain_at", [](auto& b) {
+    b.visibility(wmm::visibility_model::tso).drain_at({4});
+  });
+  add("crash_random", [](auto& b) { b.crash_random(11, 0.05, 2); });
+  add("shared_cache", [](auto& b) { b.shared_cache(false).crash_at({14}); });
+  add("retry", [](auto& b) { b.fail_policy(fail::retry).crash_at({14}); });
+  add("max_steps", [](auto& b) { b.max_steps(10); });
+
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    for (std::size_t j = i + 1; j < runs.size(); ++j) {
+      const setter_run& a = runs[i].second;
+      const setter_run& b = runs[j].second;
+      const bool same = a.log == b.log && a.describe == b.describe &&
+                        a.capped_note == b.capped_note &&
+                        a.report.steps == b.report.steps &&
+                        a.report.crashes == b.report.crashes &&
+                        a.report.lost_persistence == b.report.lost_persistence &&
+                        a.report.drain_steps == b.report.drain_steps;
+      EXPECT_FALSE(same) << runs[i].first << " vs " << runs[j].first;
+    }
+  }
+}
+
 // ---- sharded backend --------------------------------------------------------
 
 TEST(executor_sharded, routes_objects_by_id_mod_shards) {
@@ -290,7 +406,9 @@ TEST(per_object_decomposition, beats_the_product_spec_on_3x64_ops) {
   constexpr std::size_t budget = 2'000'000;
   hist::check_result product =
       hist::check_durable_linearizability(h.events(), *h.spec(), budget);
-  hist::check_result decomposed = h.check_per_object(budget);
+  hist::check_options opt;
+  opt.node_budget = budget;
+  hist::check_result decomposed = h.check_per_object(opt);
 
   ASSERT_TRUE(decomposed.ok) << decomposed.message;
   ASSERT_GT(decomposed.nodes, 0u);
@@ -314,7 +432,7 @@ TEST(per_object_decomposition, beats_the_product_spec_on_3x64_ops) {
                    c.read(), a.write(p + 8), c.read()});
   }
   ex->run();
-  hist::check_result sharded_check = ex->check(budget);
+  hist::check_result sharded_check = ex->check(opt);
   EXPECT_TRUE(sharded_check.ok) << sharded_check.message;
   EXPECT_EQ(ex->events().size(), 2u * 64u);  // every op invoked + responded
 }

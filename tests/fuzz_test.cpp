@@ -911,7 +911,7 @@ TEST(replay_dump, parsed_scenario_replays_identically) {
   api::scripted_scenario parsed = api::parse_scenario(api::dump(s));
   api::scripted_outcome a = api::replay(s);
   api::scripted_outcome b = api::replay(parsed);
-  EXPECT_EQ(a.log_text, b.log_text);
+  EXPECT_EQ(hist::log_text(a.events), hist::log_text(b.events));
   EXPECT_EQ(a.report.steps, b.report.steps);
   EXPECT_EQ(a.report.crashes, b.report.crashes);
   EXPECT_EQ(a.check.ok, b.check.ok);
@@ -1070,7 +1070,7 @@ TEST(replay_dump, v2_dumps_parse_and_replay_byte_identically) {
   // The v3 round-trip preserves the execution byte for byte.
   api::scripted_scenario rt = api::parse_scenario(api::dump(s));
   api::scripted_outcome b = api::replay(rt);
-  EXPECT_EQ(a.log_text, b.log_text);
+  EXPECT_EQ(hist::log_text(a.events), hist::log_text(b.events));
   EXPECT_EQ(a.report.steps, b.report.steps);
   EXPECT_EQ(a.report.crashes, b.report.crashes);
   EXPECT_TRUE(a.check.ok);
@@ -1107,7 +1107,7 @@ TEST(replay_dump, v3_dumps_parse_and_replay_byte_identically) {
   EXPECT_NE(v4_text.find("placement modulo"), std::string::npos) << v4_text;
   api::scripted_scenario rt = api::parse_scenario(v4_text);
   api::scripted_outcome b = api::replay(rt);
-  EXPECT_EQ(a.log_text, b.log_text);
+  EXPECT_EQ(hist::log_text(a.events), hist::log_text(b.events));
   EXPECT_EQ(a.report.steps, b.report.steps);
   EXPECT_TRUE(a.check.ok);
   // And the full oracle (incl. the shards=2 equivalence diff) is clean.
@@ -1132,7 +1132,7 @@ TEST(replay_dump, placement_and_migrations_round_trip) {
   // The parsed scenario replays identically to the original.
   api::scripted_outcome a = api::replay(s);
   api::scripted_outcome b = api::replay(parsed);
-  EXPECT_EQ(a.log_text, b.log_text);
+  EXPECT_EQ(hist::log_text(a.events), hist::log_text(b.events));
   EXPECT_TRUE(a.check.ok) << a.check.message;
 }
 
@@ -1193,7 +1193,9 @@ TEST(replay_dump, failure_artifact_parses_back_to_the_shrunk_scenario) {
   f.kind = "reg";
   f.message = "synthetic\nmultiline message";
   f.scenario = fuzz::generate(1234, "reg");
-  f.shrunk = fuzz::generate(1234, "reg", {.min_procs = 1, .max_procs = 1});
+  fuzz::gen_config one_proc;
+  one_proc.max_procs = 1;
+  f.shrunk = fuzz::generate(1234, "reg", one_proc);
   api::scripted_scenario parsed = api::parse_scenario(f.to_artifact());
   EXPECT_EQ(api::dump(parsed), api::dump(f.shrunk));
 }

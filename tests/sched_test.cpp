@@ -154,7 +154,7 @@ TEST(replay_v5, schedule_and_persistency_round_trip) {
   EXPECT_EQ(api::dump(rt), text);
   api::scripted_outcome a = api::replay(s);
   api::scripted_outcome b = api::replay(rt);
-  EXPECT_EQ(a.log_text, b.log_text);
+  EXPECT_EQ(hist::log_text(a.events), hist::log_text(b.events));
   EXPECT_TRUE(a.check.ok) << a.check.message;
 }
 
@@ -191,7 +191,7 @@ TEST(replay_v5, v4_dumps_parse_and_replay_byte_identically) {
   EXPECT_NE(v5_text.find("persist strict"), std::string::npos) << v5_text;
   api::scripted_scenario rt = api::parse_scenario(v5_text);
   api::scripted_outcome b = api::replay(rt);
-  EXPECT_EQ(a.log_text, b.log_text);
+  EXPECT_EQ(hist::log_text(a.events), hist::log_text(b.events));
   EXPECT_EQ(a.report.steps, b.report.steps);
   EXPECT_TRUE(a.check.ok);
   // And the full oracle (incl. the shards=2 equivalence diff) is clean.

@@ -239,7 +239,7 @@ TEST(replay_v6, visibility_and_drain_steps_round_trip) {
   EXPECT_EQ(api::dump(rt), text);
   api::scripted_outcome a = api::replay(s);
   api::scripted_outcome b = api::replay(rt);
-  EXPECT_EQ(a.log_text, b.log_text);
+  EXPECT_EQ(hist::log_text(a.events), hist::log_text(b.events));
   EXPECT_EQ(a.report.steps, b.report.steps);
   EXPECT_TRUE(a.check.ok) << a.check.message;
 }
@@ -272,7 +272,7 @@ TEST(replay_v6, v5_dumps_parse_as_sc_and_replay_byte_identically) {
   EXPECT_NE(v6_text.find("visibility sc"), std::string::npos) << v6_text;
   api::scripted_scenario rt = api::parse_scenario(v6_text);
   api::scripted_outcome b = api::replay(rt);
-  EXPECT_EQ(a.log_text, b.log_text);
+  EXPECT_EQ(hist::log_text(a.events), hist::log_text(b.events));
   EXPECT_EQ(a.report.steps, b.report.steps);
   EXPECT_TRUE(a.check.ok);
 }
@@ -343,7 +343,7 @@ TEST(wmm_determinism, sc_seed_streams_match_the_pre_wmm_golden_hashes) {
     EXPECT_TRUE(s.drain_steps.empty());
     h = fnv(h, filter_dump(api::dump(s)));
     api::scripted_outcome out = api::replay(s);
-    h = fnv(h, out.log_text);
+    h = fnv(h, hist::log_text(out.events));
     h = fnv(h, out.check.message);
     h = fnv(h, std::to_string(out.report.steps));
   }
