@@ -27,9 +27,13 @@ std::vector<T> sweep(std::vector<T> full, std::size_t smoke_prefix) {
   return full;
 }
 
-/// Print a row of fixed-width columns.
+/// Print a row of fixed-width columns. A cell as wide as its column (or
+/// wider) still gets one space before the next cell.
 inline void row(const std::vector<std::string>& cells, int width = 14) {
-  for (const std::string& c : cells) std::printf("%-*s", width, c.c_str());
+  for (const std::string& c : cells) {
+    std::printf("%-*s%s", width, c.c_str(),
+                c.size() >= static_cast<std::size_t>(width) ? " " : "");
+  }
   std::printf("\n");
 }
 

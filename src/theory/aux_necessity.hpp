@@ -24,29 +24,24 @@
 // The D-branch (crash just before the *first* Opp returns) is also provided:
 // there the stale-response answer happens to be right — the two branches are
 // indistinguishable to p, which is exactly the engine of the proof.
+//
+// Each run is an api::harness driven by hand (submit_op / drive / crash_now)
+// over the registry kind a scenario names.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/announce.hpp"
-#include "core/object.hpp"
-#include "history/specs.hpp"
-#include "sim/world.hpp"
+#include "api/registry.hpp"
+#include "history/event.hpp"
 
 namespace detect::theory {
 
 /// Everything needed to run the Figure-2 schedule against one object kind.
 struct aux_scenario {
   std::string name;
-  /// Build the object under test inside the given world/board.
-  std::function<std::unique_ptr<core::detectable_object>(
-      int nprocs, core::announcement_board&, nvm::pmem_domain&)>
-      make_object;
-  /// Sequential spec for checking the recorded history.
-  std::function<std::unique_ptr<hist::spec>()> make_spec;
+  std::string kind;            // object_registry kind of the object under test
+  api::object_params params;   // its construction parameters
   std::vector<hist::op_desc> h1;         // H1: ops by p, run to completion
   hist::op_desc opp;                     // the witnessing op by p (pid 0)
   hist::op_desc op1;                     // Op′ by q (pid 1)
@@ -70,8 +65,9 @@ aux_outcome run_e_branch(const aux_scenario& s);
 /// done, response not yet delivered to the caller).
 aux_outcome run_d_branch(const aux_scenario& s);
 
-/// Ready-made scenarios. `stripped` controls whether the caller provides the
-/// auxiliary resets (false ⇒ Definition 1's channels closed).
+/// Ready-made scenarios. `stripped` selects the registry's stripped_* kind,
+/// whose caller provides no auxiliary resets (Definition 1's channels
+/// closed).
 aux_scenario register_scenario(bool stripped);
 aux_scenario cas_scenario(bool stripped);
 aux_scenario queue_scenario(bool stripped);

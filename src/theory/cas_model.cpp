@@ -2,17 +2,23 @@
 
 #include <array>
 #include <bit>
-#include <cstring>
-#include <deque>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
-#include <vector>
 
 namespace detect::theory {
 
 namespace {
 
 constexpr int k_max_procs = 8;  // full-model BFS is for small N only
+
+// Values live in std::int8_t cells of the full model; every entry point
+// takes the same domain bound.
+void check_domain(int domain, const char* fn) {
+  if (domain < 2 || domain > 127) {
+    throw std::invalid_argument(std::string(fn) + ": 2 <= domain <= 127");
+  }
+}
 
 // Program counters of the small-step encoding. Operation lines follow the
 // paper's numbering; recovery lines likewise.
@@ -175,94 +181,58 @@ config_count bfs_configurations(int nprocs, int domain,
   if (nprocs < 1 || nprocs > k_max_procs) {
     throw std::invalid_argument("bfs_configurations: 1 <= N <= 8");
   }
-  if (domain < 2 || domain > 127) {
-    throw std::invalid_argument("bfs_configurations: 2 <= domain <= 127");
-  }
-  config_count out;
-  std::unordered_set<std::string> seen;
-  std::unordered_set<std::uint32_t> shared_seen;
-  std::deque<mconfig> frontier;
-
-  mconfig init;
-  seen.insert(init.key(nprocs));
-  shared_seen.insert(init.shared_key());
-  frontier.push_back(init);
-
-  auto visit = [&](const mconfig& c) {
-    auto [it, fresh] = seen.insert(c.key(nprocs));
-    if (fresh) {
-      shared_seen.insert(c.shared_key());
-      frontier.push_back(c);
-    }
-  };
-
-  while (!frontier.empty()) {
-    if (seen.size() >= max_states) {
-      out.complete = false;
-      break;
-    }
-    mconfig c = frontier.front();
-    frontier.pop_front();
-
-    for (int p = 0; p < nprocs; ++p) {
-      const mproc& m = c.procs[static_cast<std::size_t>(p)];
-      if (m.pc == pc_idle) {
-        // Operation universe: Cas(i, (i+1) mod domain) plus the
-        // self-swap Cas(i, i). The self-swap succeeds and flips vec[p]
-        // without changing the value, decoupling the value from the flip
-        // vector (with increments alone the two stay parity-correlated for
-        // even domain sizes) while keeping BFS tractable.
-        for (int i = 0; i < domain; ++i) {
-          visit(invoke(c, p, i, (i + 1) % domain));
-          visit(invoke(c, p, i, i));
+  check_domain(domain, "bfs_configurations");
+  return reach(
+      mconfig{}, [nprocs](const mconfig& c) { return c.key(nprocs); },
+      [](const mconfig& c) { return c.shared_key(); },
+      [nprocs, domain](const mconfig& c, auto&& visit) {
+        for (int p = 0; p < nprocs; ++p) {
+          if (c.procs[static_cast<std::size_t>(p)].pc == pc_idle) {
+            // Operation universe: Cas(i, (i+1) mod domain) plus the
+            // self-swap Cas(i, i). The self-swap succeeds and flips vec[p]
+            // without changing the value, decoupling the value from the flip
+            // vector (with increments alone the two stay parity-correlated
+            // for even domain sizes) while keeping BFS tractable.
+            for (int i = 0; i < domain; ++i) {
+              visit(invoke(c, p, i, (i + 1) % domain));
+              visit(invoke(c, p, i, i));
+            }
+          } else {
+            visit(step(c, p));
+          }
         }
-      } else {
-        visit(step(c, p));
-      }
-    }
-    visit(crash(c, nprocs));
-  }
-
-  out.total_configs = seen.size();
-  out.shared_configs = shared_seen.size();
-  return out;
+        visit(crash(c, nprocs));
+      },
+      max_states);
 }
 
 config_count quiescent_reachability(int nprocs, int domain) {
   if (nprocs < 1 || nprocs > 24) {
     throw std::invalid_argument("quiescent_reachability: 1 <= N <= 24");
   }
-  config_count out;
+  check_domain(domain, "quiescent_reachability");
   // Shared state = value * 2^N + vec; derived transition: from a quiescent
   // (v, vec), a solo successful Cas_p(v, v') reaches (v', vec ^ e_p). The
   // operation universe matches the full model: v' ∈ {v, v+1 mod domain}.
-  std::unordered_set<std::uint64_t> seen;
-  std::deque<std::uint64_t> frontier;
   const std::uint64_t vec_space = std::uint64_t{1} << nprocs;
-  seen.insert(0);
-  frontier.push_back(0);
-  while (!frontier.empty()) {
-    std::uint64_t s = frontier.front();
-    frontier.pop_front();
-    std::uint64_t vec = s % vec_space;
-    std::uint64_t val = s / vec_space;
-    for (int p = 0; p < nprocs; ++p) {
-      const std::uint64_t succs[2] = {val, (val + 1) % domain};
-      for (std::uint64_t v2 : succs) {
-        std::uint64_t next = v2 * vec_space + (vec ^ (1ull << p));
-        if (seen.insert(next).second) frontier.push_back(next);
-      }
-    }
-  }
-  out.total_configs = seen.size();
-  out.shared_configs = seen.size();
-  return out;
+  return reach(
+      std::uint64_t{0}, [](std::uint64_t s) { return s; }, shared_is_key{},
+      [nprocs, domain, vec_space](std::uint64_t s, auto&& visit) {
+        const std::uint64_t vec = s % vec_space;
+        const std::uint64_t val = s / vec_space;
+        for (int p = 0; p < nprocs; ++p) {
+          for (std::uint64_t v2 : {val, (val + 1) % domain}) {
+            visit(v2 * vec_space + (vec ^ (1ull << p)));
+          }
+        }
+      });
 }
 
 std::uint64_t gray_code_walk(int nprocs, int domain) {
   if (nprocs < 1 || nprocs > 30) {
     throw std::invalid_argument("gray_code_walk: 1 <= N <= 30");
   }
+  check_domain(domain, "gray_code_walk");
   if (nprocs > k_max_procs) {
     // The walk only needs the quiescent transition; emulate directly.
     std::unordered_set<std::uint64_t> shared;

@@ -18,22 +18,21 @@
 //    2^N distinct vec values by flipping one process's bit at a time (each
 //    flip is one solo successful CAS), i.e. an explicit witness for the
 //    2^N − 1 lower bound on the implementation.
+//
+// The two BFS instruments run on theory::reach (theory/reach.hpp); every
+// entry point rejects a value domain outside 2..127.
 #pragma once
 
 #include <cstdint>
-#include <string>
+
+#include "theory/reach.hpp"
 
 namespace detect::theory {
 
-struct config_count {
-  std::uint64_t total_configs = 0;     // distinct full configurations explored
-  std::uint64_t shared_configs = 0;    // distinct shared (value, vec) states
-  bool complete = true;                // false if the state cap was hit
-};
-
 /// Exhaustive BFS over the full model. `nprocs` processes, value domain
 /// {0..domain-1}, operation universe Cas(i, (i+1) mod domain) for all i, with
-/// system-wide crashes and recoveries included. `max_states` caps the search.
+/// system-wide crashes and recoveries included. `max_states` caps the search;
+/// shared_configs counts distinct (value, vec) states.
 config_count bfs_configurations(int nprocs, int domain,
                                 std::uint64_t max_states = 20'000'000);
 

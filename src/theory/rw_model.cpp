@@ -1,16 +1,22 @@
 #include "theory/rw_model.hpp"
 
 #include <array>
-#include <deque>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 
 namespace detect::theory {
 
 namespace {
 
 constexpr int k_max_procs = 3;  // full model: shared space is 2N² bits
+
+// Written values live in std::uint8_t cells; both entry points take the same
+// domain bound.
+void check_domain(int domain, const char* fn) {
+  if (domain < 2 || domain > 255) {
+    throw std::invalid_argument(std::string(fn) + ": 2 <= domain <= 255");
+  }
+}
 
 // R packs ⟨val, q, toggle⟩. A is a 2N²-bit array indexed [i][j][t].
 struct rw_shared {
@@ -252,84 +258,48 @@ config_count rw_bfs_configurations(int nprocs, int domain,
   if (nprocs < 1 || nprocs > k_max_procs) {
     throw std::invalid_argument("rw_bfs_configurations: 1 <= N <= 3");
   }
-  if (domain < 2 || domain > 255) {
-    throw std::invalid_argument("rw_bfs_configurations: 2 <= domain <= 255");
-  }
-  config_count out;
-  std::unordered_set<std::string> seen;
-  std::unordered_set<std::uint64_t> shared_seen;
-  std::deque<rw_config> frontier;
-
-  rw_config init;  // R = ⟨0, 0, 0⟩, A all zero
-  seen.insert(init.key(nprocs));
-  shared_seen.insert(init.shared_key());
-  frontier.push_back(init);
-
-  auto visit = [&](const rw_config& c) {
-    if (seen.insert(c.key(nprocs)).second) {
-      shared_seen.insert(c.shared_key());
-      frontier.push_back(c);
-    }
-  };
-
-  while (!frontier.empty()) {
-    if (seen.size() >= max_states) {
-      out.complete = false;
-      break;
-    }
-    rw_config c = frontier.front();
-    frontier.pop_front();
-    for (int p = 0; p < nprocs; ++p) {
-      const rw_proc& m = c.procs[static_cast<std::size_t>(p)];
-      if (m.pc == rw_idle) {
-        for (int v = 0; v < domain; ++v) visit(rw_invoke(c, p, v));
-      } else {
-        visit(rw_step(c, p, nprocs));
-      }
-    }
-    visit(rw_crash(c, nprocs));
-  }
-  out.total_configs = seen.size();
-  out.shared_configs = shared_seen.size();
-  return out;
+  check_domain(domain, "rw_bfs_configurations");
+  return reach(
+      rw_config{},  // R = ⟨0, 0, 0⟩, A all zero
+      [nprocs](const rw_config& c) { return c.key(nprocs); },
+      [](const rw_config& c) { return c.shared_key(); },
+      [nprocs, domain](const rw_config& c, auto&& visit) {
+        for (int p = 0; p < nprocs; ++p) {
+          if (c.procs[static_cast<std::size_t>(p)].pc == rw_idle) {
+            for (int v = 0; v < domain; ++v) visit(rw_invoke(c, p, v));
+          } else {
+            visit(rw_step(c, p, nprocs));
+          }
+        }
+        visit(rw_crash(c, nprocs));
+      },
+      max_states);
 }
 
 config_count rw_quiescent_reachability(int nprocs, int domain) {
   if (nprocs < 1 || nprocs > 3) {
     throw std::invalid_argument("rw_quiescent_reachability: 1 <= N <= 3");
   }
+  check_domain(domain, "rw_quiescent_reachability");
   // Quiescent state = shared (R, A) plus the private toggles T[p] (they
   // determine the next transition); count the shared projection.
   struct qstate {
     rw_shared sh;
     std::array<std::uint8_t, k_max_procs> t{};
   };
-  auto key_of = [nprocs](const qstate& s) {
-    std::uint64_t k = (static_cast<std::uint64_t>(s.sh.r_val) << 40) |
-                      (static_cast<std::uint64_t>(s.sh.r_q) << 34) |
-                      (static_cast<std::uint64_t>(s.sh.r_t) << 33) | s.sh.a;
-    for (int p = 0; p < nprocs; ++p) {
-      k = k * 2 + s.t[static_cast<std::size_t>(p)];
-    }
-    return k;
-  };
   auto shared_key_of = [](const qstate& s) {
     return (static_cast<std::uint64_t>(s.sh.r_val) << 40) |
            (static_cast<std::uint64_t>(s.sh.r_q) << 34) |
            (static_cast<std::uint64_t>(s.sh.r_t) << 33) | s.sh.a;
   };
-
-  std::unordered_set<std::uint64_t> seen;
-  std::unordered_set<std::uint64_t> shared_seen;
-  std::deque<qstate> frontier;
-  qstate init;
-  seen.insert(key_of(init));
-  shared_seen.insert(shared_key_of(init));
-  frontier.push_back(init);
-
-  while (!frontier.empty()) {
-    qstate s = frontier.front();
-    frontier.pop_front();
+  auto key_of = [nprocs, shared_key_of](const qstate& s) {
+    std::uint64_t k = shared_key_of(s);
+    for (int p = 0; p < nprocs; ++p) {
+      k = k * 2 + s.t[static_cast<std::size_t>(p)];
+    }
+    return k;
+  };
+  auto solo_writes = [nprocs, domain](const qstate& s, auto&& visit) {
     for (int p = 0; p < nprocs; ++p) {
       for (int v = 0; v < domain; ++v) {
         // Solo write by p of value v from a quiescent configuration:
@@ -347,17 +317,11 @@ config_count rw_quiescent_reachability(int nprocs, int domain) {
           x.sh.a |= 1u << a_bit(nprocs, i, p, mt);
         }
         x.t[static_cast<std::size_t>(p)] = static_cast<std::uint8_t>(1 - mt);
-        if (seen.insert(key_of(x)).second) {
-          shared_seen.insert(shared_key_of(x));
-          frontier.push_back(x);
-        }
+        visit(x);
       }
     }
-  }
-  config_count out;
-  out.total_configs = seen.size();
-  out.shared_configs = shared_seen.size();
-  return out;
+  };
+  return reach(qstate{}, key_of, shared_key_of, solo_writes);
 }
 
 }  // namespace detect::theory

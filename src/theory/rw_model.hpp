@@ -12,12 +12,14 @@
 // Instruments mirror cas_model: a faithful line-by-line small-step model
 // (operations, crashes, recoveries) explored by BFS for tiny N, and a
 // quiescent-graph abstraction (solo writes from quiescent configurations,
-// validated against the full model) for slightly larger N.
+// validated against the full model) for slightly larger N. Both run on
+// theory::reach (theory/reach.hpp); both reject a value domain outside
+// 2..255.
 #pragma once
 
 #include <cstdint>
 
-#include "theory/cas_model.hpp"  // config_count
+#include "theory/reach.hpp"
 
 namespace detect::theory {
 

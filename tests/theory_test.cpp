@@ -2,6 +2,8 @@
 // certificates (Lemmas 3-8), and the Theorem 2 Figure-2 schedule outcomes.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "theory/aux_necessity.hpp"
 #include "theory/cas_model.hpp"
 #include "theory/perturbing.hpp"
@@ -21,12 +23,45 @@ TEST(cas_model, bound_helper) {
 }
 
 TEST(cas_model, bfs_meets_lower_bound_small_n) {
+  // Exact (total, shared) counts: any drift means the model or the BFS
+  // engine changed.
+  const std::uint64_t pinned[][2] = {{438, 4}, {821'392, 12}};
   for (int n = 1; n <= 2; ++n) {
     auto c = theory::bfs_configurations(n, n + 1);
     EXPECT_TRUE(c.complete) << "N=" << n;
     EXPECT_GE(c.shared_configs, theory::theorem1_bound(n)) << "N=" << n;
     EXPECT_GE(c.total_configs, c.shared_configs);
+    EXPECT_EQ(c.total_configs, pinned[n - 1][0]) << "N=" << n;
+    EXPECT_EQ(c.shared_configs, pinned[n - 1][1]) << "N=" << n;
   }
+}
+
+TEST(cas_model, capped_bfs_stops_at_the_cap) {
+  auto c = theory::bfs_configurations(2, 3, 1000);
+  EXPECT_FALSE(c.complete);
+  EXPECT_EQ(c.total_configs, 1000u);
+  EXPECT_EQ(c.shared_configs, 4u);
+}
+
+TEST(cas_model, rejects_out_of_range_arguments) {
+  EXPECT_THROW(theory::bfs_configurations(0, 2), std::invalid_argument);
+  EXPECT_THROW(theory::bfs_configurations(9, 2), std::invalid_argument);
+  EXPECT_THROW(theory::quiescent_reachability(25, 2), std::invalid_argument);
+  EXPECT_THROW(theory::gray_code_walk(31, 2), std::invalid_argument);
+  // The value domain: 2..127 for every entry point (values are int8 cells
+  // in the full model; a zero domain used to divide by zero).
+  for (int domain : {0, 1, 128}) {
+    EXPECT_THROW(theory::bfs_configurations(1, domain), std::invalid_argument)
+        << "domain=" << domain;
+    EXPECT_THROW(theory::quiescent_reachability(2, domain),
+                 std::invalid_argument)
+        << "domain=" << domain;
+    EXPECT_THROW(theory::gray_code_walk(2, domain), std::invalid_argument)
+        << "domain=" << domain;
+    EXPECT_THROW(theory::gray_code_walk(10, domain), std::invalid_argument)
+        << "domain=" << domain;
+  }
+  EXPECT_EQ(theory::quiescent_reachability(1, 127).shared_configs, 254u);
 }
 
 TEST(cas_model, bfs_shared_count_matches_quiescent_analysis) {
@@ -47,6 +82,8 @@ TEST(cas_model, quiescent_reachability_is_value_times_vectors) {
               static_cast<std::uint64_t>(n + 1) * (std::uint64_t{1} << n))
         << "N=" << n;
     EXPECT_GE(c.shared_configs, theory::theorem1_bound(n));
+    EXPECT_EQ(c.total_configs, c.shared_configs) << "N=" << n;
+    EXPECT_TRUE(c.complete);
   }
 }
 
@@ -55,6 +92,10 @@ TEST(cas_model, gray_code_walk_witnesses_the_bound) {
     std::uint64_t visited = theory::gray_code_walk(n, n + 1);
     EXPECT_GE(visited, theory::theorem1_bound(n)) << "N=" << n;
   }
+  // The faithful model (N <= 8) and the direct emulation (N > 8) both visit
+  // exactly 2^N shared states.
+  EXPECT_EQ(theory::gray_code_walk(4, 5), 16u);
+  EXPECT_EQ(theory::gray_code_walk(10, 11), 1024u);
 }
 
 // ---- Algorithm 1 model / E9 ---------------------------------------------------
@@ -67,6 +108,8 @@ TEST(rw_model, full_bfs_covers_quiescent_states_for_n1) {
   auto quiescent = theory::rw_quiescent_reachability(1, 2);
   ASSERT_TRUE(full.complete);
   EXPECT_GE(full.shared_configs, quiescent.shared_configs);
+  EXPECT_EQ(full.total_configs, 943u);
+  EXPECT_EQ(full.shared_configs, 14u);
 }
 
 TEST(rw_model, reachable_counts_grow_with_n) {
@@ -75,6 +118,24 @@ TEST(rw_model, reachable_counts_grow_with_n) {
   auto q3 = theory::rw_quiescent_reachability(3, 2);
   EXPECT_LT(q1.shared_configs, q2.shared_configs);
   EXPECT_LT(q2.shared_configs, q3.shared_configs);
+  EXPECT_EQ(q2.shared_configs, 49u);
+  EXPECT_EQ(q3.shared_configs, 481u);
+}
+
+TEST(rw_model, rejects_out_of_range_arguments) {
+  EXPECT_THROW(theory::rw_bfs_configurations(0, 2), std::invalid_argument);
+  EXPECT_THROW(theory::rw_bfs_configurations(4, 2), std::invalid_argument);
+  EXPECT_THROW(theory::rw_quiescent_reachability(4, 2), std::invalid_argument);
+  // The value domain: 2..255 for both entry points (written values are
+  // uint8 cells; a domain of 300 used to wrap silently).
+  for (int domain : {0, 1, 256, 300}) {
+    EXPECT_THROW(theory::rw_bfs_configurations(1, domain),
+                 std::invalid_argument)
+        << "domain=" << domain;
+    EXPECT_THROW(theory::rw_quiescent_reachability(1, domain),
+                 std::invalid_argument)
+        << "domain=" << domain;
+  }
 }
 
 TEST(rw_model, reachable_far_below_budget) {
@@ -87,9 +148,21 @@ TEST(rw_model, reachable_far_below_budget) {
 }
 
 TEST(rw_model, full_bfs_n2_within_cap) {
+  // The name predates the exact pins below: the N=2 state space is larger
+  // than either cap, so the search stops there and reports itself
+  // incomplete. The cap is checked before each pop, so the last expansion
+  // may overshoot it (by one state at 6,000,000, by none at 1000).
   auto c = theory::rw_bfs_configurations(2, 2, 6'000'000);
   EXPECT_GE(c.shared_configs, 4u);
   EXPECT_GE(c.total_configs, c.shared_configs);
+  EXPECT_FALSE(c.complete);
+  EXPECT_EQ(c.total_configs, 6'000'001u);
+  EXPECT_EQ(c.shared_configs, 964u);
+
+  auto small = theory::rw_bfs_configurations(2, 2, 1000);
+  EXPECT_FALSE(small.complete);
+  EXPECT_EQ(small.total_configs, 1000u);
+  EXPECT_EQ(small.shared_configs, 12u);
 }
 
 // ---- Definition 3 / E4 ------------------------------------------------------
@@ -185,80 +258,72 @@ TEST(perturbing, same_process_probe_is_not_perturbing) {
 
 // ---- Theorem 2 / E3 ---------------------------------------------------------
 
-TEST(aux_necessity, stripped_register_violates_on_e_branch) {
-  auto out = theory::run_e_branch(theory::register_scenario(/*stripped=*/true));
-  EXPECT_TRUE(out.violation)
-      << "without auxiliary state the Figure-2 schedule must break "
-         "detectability";
-  EXPECT_EQ(out.verdict, hist::recovery_verdict::linearized)
-      << "the recovery wrongly claims the fresh invocation linearized";
-}
-
-TEST(aux_necessity, proper_register_survives_e_branch) {
-  auto out = theory::run_e_branch(theory::register_scenario(/*stripped=*/false));
-  EXPECT_FALSE(out.violation) << out.detail;
-  EXPECT_EQ(out.verdict, hist::recovery_verdict::fail)
-      << "with CP/resp reset, recovery correctly reports not-linearized";
-}
-
-TEST(aux_necessity, stripped_cas_violates_on_e_branch) {
-  auto out = theory::run_e_branch(theory::cas_scenario(/*stripped=*/true));
-  EXPECT_TRUE(out.violation);
-  EXPECT_EQ(out.verdict, hist::recovery_verdict::linearized);
-}
-
-TEST(aux_necessity, proper_cas_survives_e_branch) {
-  auto out = theory::run_e_branch(theory::cas_scenario(/*stripped=*/false));
-  EXPECT_FALSE(out.violation) << out.detail;
-  EXPECT_EQ(out.verdict, hist::recovery_verdict::fail);
-}
-
-TEST(aux_necessity, stripped_queue_violates_on_e_branch) {
-  auto out = theory::run_e_branch(theory::queue_scenario(/*stripped=*/true));
-  EXPECT_TRUE(out.violation)
-      << "FIFO queue is doubly-perturbing (Lemma 8); stripping the auxiliary "
-         "resets must break it";
-  EXPECT_EQ(out.verdict, hist::recovery_verdict::linearized);
-}
-
-TEST(aux_necessity, proper_queue_survives_e_branch) {
-  auto out = theory::run_e_branch(theory::queue_scenario(/*stripped=*/false));
-  EXPECT_FALSE(out.violation) << out.detail;
-  EXPECT_EQ(out.verdict, hist::recovery_verdict::fail);
-}
-
-TEST(aux_necessity, stripped_counter_violates_on_e_branch) {
-  auto out = theory::run_e_branch(theory::counter_scenario(/*stripped=*/true));
-  EXPECT_TRUE(out.violation) << "counter is doubly-perturbing (Lemma 5)";
-  EXPECT_EQ(out.verdict, hist::recovery_verdict::linearized);
-}
-
-TEST(aux_necessity, proper_counter_survives_e_branch) {
-  auto out = theory::run_e_branch(theory::counter_scenario(/*stripped=*/false));
-  EXPECT_FALSE(out.violation) << out.detail;
-  EXPECT_EQ(out.verdict, hist::recovery_verdict::fail);
-}
-
-TEST(aux_necessity, max_register_survives_e_branch_without_aux) {
-  auto out = theory::run_e_branch(theory::max_register_scenario());
-  EXPECT_FALSE(out.violation)
-      << "Lemma 4: the max register is not doubly-perturbing, so no witness "
-         "schedule can break it\n"
-      << out.detail;
-}
-
-TEST(aux_necessity, d_branch_is_benign_for_all) {
-  // Crash just before the first Opp returns: the stale response is the right
-  // answer there — that is exactly why the two branches are indistinguishable
-  // and auxiliary state is needed to tell them apart.
-  for (bool stripped : {false, true}) {
-    auto reg = theory::run_d_branch(theory::register_scenario(stripped));
-    EXPECT_FALSE(reg.violation) << "register stripped=" << stripped << "\n"
-                                << reg.detail;
-    EXPECT_EQ(reg.verdict, hist::recovery_verdict::linearized);
+// The full Figure-2 outcome matrix: every scenario on both branches.
+//  * D-branch (crash just before the first Opp returns): the stale response
+//    is the right answer, so every recovery says "linearized" and no history
+//    is rejected — which is why the branches are indistinguishable to p.
+//  * E-branch without auxiliary state (stripped_*): the recovery of the
+//    fresh, never-executed invocation wrongly claims "linearized" and the
+//    probe contradicts it — Theorem 2's violation, for each doubly-perturbing
+//    object (Lemmas 3, 5, 6, 8).
+//  * E-branch with the caller's CP/resp resets: recovery correctly fails.
+//  * The max register is not doubly-perturbing (Lemma 4): no violation even
+//    with no auxiliary state.
+TEST(aux_necessity, figure2_outcome_matrix) {
+  using hist::recovery_verdict;
+  constexpr hist::value_t bot = hist::k_bottom;
+  struct expected {
+    bool violation;
+    recovery_verdict verdict;
+    hist::value_t recovered_value;
+    hist::value_t probe_response;
+  };
+  struct row {
+    theory::aux_scenario scenario;
+    expected d, e;
+  };
+  const row rows[] = {
+      {theory::register_scenario(false),
+       {false, recovery_verdict::linearized, 0, 0},
+       {false, recovery_verdict::fail, bot, 0}},
+      {theory::register_scenario(true),
+       {false, recovery_verdict::linearized, 0, 0},
+       {true, recovery_verdict::linearized, 0, 0}},
+      {theory::cas_scenario(false),
+       {false, recovery_verdict::linearized, 1, 1},
+       {false, recovery_verdict::fail, bot, 1}},
+      {theory::cas_scenario(true),
+       {false, recovery_verdict::linearized, 1, 1},
+       {true, recovery_verdict::linearized, 1, 1}},
+      {theory::queue_scenario(false),
+       {false, recovery_verdict::linearized, 10, 10},
+       {false, recovery_verdict::fail, bot, 10}},
+      {theory::queue_scenario(true),
+       {false, recovery_verdict::linearized, 10, 10},
+       {true, recovery_verdict::linearized, 10, 10}},
+      {theory::counter_scenario(false),
+       {false, recovery_verdict::linearized, 0, 1},
+       {false, recovery_verdict::fail, bot, 1}},
+      {theory::counter_scenario(true),
+       {false, recovery_verdict::linearized, 0, 1},
+       {true, recovery_verdict::linearized, 0, 1}},
+      {theory::max_register_scenario(),
+       {false, recovery_verdict::linearized, 0, 5},
+       {false, recovery_verdict::linearized, 0, 5}},
+  };
+  for (const row& r : rows) {
+    for (bool e_branch : {false, true}) {
+      SCOPED_TRACE(r.scenario.name + (e_branch ? " E-branch" : " D-branch"));
+      const expected& want = e_branch ? r.e : r.d;
+      auto out = e_branch ? theory::run_e_branch(r.scenario)
+                          : theory::run_d_branch(r.scenario);
+      EXPECT_EQ(out.violation, want.violation) << out.detail;
+      EXPECT_EQ(out.verdict, want.verdict);
+      EXPECT_EQ(out.recovered_value, want.recovered_value);
+      EXPECT_EQ(out.probe_response, want.probe_response);
+      EXPECT_EQ(out.detail.empty(), !want.violation);
+    }
   }
-  auto mr = theory::run_d_branch(theory::max_register_scenario());
-  EXPECT_FALSE(mr.violation) << mr.detail;
 }
 
 }  // namespace
