@@ -13,7 +13,9 @@
 // placement policy, threads) on one scripted multi-counter workload and
 // writes the machine-readable BENCH_e6.json (ops/sec plus the per-shard
 // op-load distribution per backend×shards×placement) — the perf-trajectory
-// data points CI's bench-smoke stage archives:
+// data points CI's bench-smoke stage archives. Each row is the median of
+// k_sweep_samples timed runs, each on a freshly built executor, with the
+// interquartile range of the samples next to it:
 //
 //   bench_e6_throughput --shards 1,2,4 --sweep-procs 8 --sweep-ops 2000
 //                       --json BENCH_e6.json     # all defaults shown
@@ -28,6 +30,7 @@
 #include <benchmark/benchmark.h>
 #endif
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -167,6 +170,8 @@ void bm_max_register(benchmark::State& state) {
 // ---------------------------------------------------------------------------
 // Backend×shards throughput sweep (the executor redesign's data points).
 
+constexpr int k_sweep_samples = 5;
+
 struct sweep_cfg {
   std::vector<int> shard_counts = {1, 2, 4};
   int procs = 8;
@@ -181,8 +186,11 @@ struct sweep_row {
   const char* placement;
   std::vector<std::uint64_t> shard_load;  // scripted ops per shard
   std::uint64_t ops;
-  double seconds;
-  double ops_per_sec;
+  double seconds;      // median over the samples
+  double ops_per_sec;  // ops / median seconds = median ops/s
+  /// Spread of the samples' ops/s: third minus first quartile (the 2nd and
+  /// 4th of the 5 sorted samples).
+  double ops_per_sec_iqr = 0.0;
   /// Throughput relative to the sharded K=1 row (ops/s at K ÷ ops/s at 1) —
   /// the scaling trajectory CI's job summary renders. 1.0 for the baseline
   /// row itself; K rows below 1.0 mean sharding is a net loss at that K.
@@ -191,10 +199,10 @@ struct sweep_row {
 
 /// One scripted multi-counter workload, identical across backends and
 /// placements: every proc runs `ops_per_proc` fetch-and-adds round-robin
-/// over the objects.
-sweep_row run_sweep_config(api::exec_backend be, int shards,
-                           api::placement_kind placement,
-                           const sweep_cfg& cfg) {
+/// over the objects. Returns the run's wall time; fills the per-shard load.
+double time_sweep_sample(api::exec_backend be, int shards,
+                         api::placement_kind placement, const sweep_cfg& cfg,
+                         std::vector<std::uint64_t>* shard_load) {
   api::placement_policy pol;
   pol.kind = placement;
   auto ex = api::executor::builder()
@@ -208,15 +216,14 @@ sweep_row run_sweep_config(api::exec_backend be, int shards,
   objs.reserve(static_cast<std::size_t>(cfg.objects));
   for (int i = 0; i < cfg.objects; ++i) objs.push_back(ex->add_counter());
 
-  sweep_row row;
-  row.shard_load.assign(static_cast<std::size_t>(ex->shards()), 0);
+  shard_load->assign(static_cast<std::size_t>(ex->shards()), 0);
   for (int p = 0; p < cfg.procs; ++p) {
     std::vector<hist::op_desc> script;
     script.reserve(static_cast<std::size_t>(cfg.ops_per_proc));
     for (int i = 0; i < cfg.ops_per_proc; ++i) {
       const api::counter& obj =
           objs[static_cast<std::size_t>((p + i) % cfg.objects)];
-      row.shard_load[static_cast<std::size_t>(ex->shard_of(obj.id()))] += 1;
+      (*shard_load)[static_cast<std::size_t>(ex->shard_of(obj.id()))] += 1;
       script.push_back(obj.add(1));
     }
     ex->script(p, std::move(script));
@@ -225,22 +232,38 @@ sweep_row run_sweep_config(api::exec_backend be, int shards,
   auto start = std::chrono::steady_clock::now();
   ex->run();
   auto stop = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(stop - start).count();
+}
 
+sweep_row run_sweep_config(api::exec_backend be, int shards,
+                           api::placement_kind placement,
+                           const sweep_cfg& cfg) {
+  sweep_row row;
   row.backend = api::backend_name(be);
   row.shards = shards;
   row.placement = api::placement_name(placement);
   row.ops = static_cast<std::uint64_t>(cfg.procs) *
             static_cast<std::uint64_t>(cfg.ops_per_proc);
-  row.seconds = std::chrono::duration<double>(stop - start).count();
-  row.ops_per_sec =
-      row.seconds > 0 ? static_cast<double>(row.ops) / row.seconds : 0.0;
+  std::vector<double> secs;
+  for (int s = 0; s < k_sweep_samples; ++s) {
+    secs.push_back(
+        time_sweep_sample(be, shards, placement, cfg, &row.shard_load));
+  }
+  std::sort(secs.begin(), secs.end());
+  auto rate = [&](double sec) {
+    return sec > 0 ? static_cast<double>(row.ops) / sec : 0.0;
+  };
+  row.seconds = secs[k_sweep_samples / 2];
+  row.ops_per_sec = rate(row.seconds);
+  // Rates sort opposite to times: the fast quartile is the short time.
+  row.ops_per_sec_iqr = rate(secs[1]) - rate(secs[k_sweep_samples - 2]);
   return row;
 }
 
 void run_shards_sweep(const sweep_cfg& cfg) {
   std::printf("== executor backend x shards x placement sweep (%d procs, "
-              "%d objects, %d ops/proc) ==\n",
-              cfg.procs, cfg.objects, cfg.ops_per_proc);
+              "%d objects, %d ops/proc, median of %d samples) ==\n",
+              cfg.procs, cfg.objects, cfg.ops_per_proc, k_sweep_samples);
   std::vector<sweep_row> rows;
   rows.push_back(run_sweep_config(api::exec_backend::single, 1,
                                   api::placement_kind::modulo, cfg));
@@ -278,10 +301,10 @@ void run_shards_sweep(const sweep_cfg& cfg) {
 
   for (const sweep_row& r : rows) {
     std::printf("%-8s shards=%-2d %-7s  %10llu ops  %8.3f s  %12.0f ops/s  "
-                "scale=%.2fx  load=[",
+                "iqr=%-10.0f scale=%.2fx  load=[",
                 r.backend, r.shards, r.placement,
                 static_cast<unsigned long long>(r.ops), r.seconds,
-                r.ops_per_sec, r.scaling_efficiency);
+                r.ops_per_sec, r.ops_per_sec_iqr, r.scaling_efficiency);
     for (std::size_t k = 0; k < r.shard_load.size(); ++k) {
       std::printf("%s%llu", k != 0 ? " " : "",
                   static_cast<unsigned long long>(r.shard_load[k]));
@@ -299,7 +322,8 @@ void run_shards_sweep(const sweep_cfg& cfg) {
   out << "{\n  \"bench\": \"e6_backend_shards_sweep\",\n"
       << "  \"config\": {\"procs\": " << cfg.procs
       << ", \"objects\": " << cfg.objects
-      << ", \"ops_per_proc\": " << cfg.ops_per_proc << "},\n"
+      << ", \"ops_per_proc\": " << cfg.ops_per_proc
+      << ", \"samples\": " << k_sweep_samples << "},\n"
       << "  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const sweep_row& r = rows[i];
@@ -311,6 +335,7 @@ void run_shards_sweep(const sweep_cfg& cfg) {
     }
     out << "], \"ops\": " << r.ops << ", \"seconds\": " << r.seconds
         << ", \"ops_per_sec\": " << r.ops_per_sec
+        << ", \"ops_per_sec_iqr\": " << r.ops_per_sec_iqr
         << ", \"scaling_efficiency\": " << r.scaling_efficiency << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }

@@ -104,11 +104,11 @@ stage_bench_smoke() {     # $1 = build dir
     echo "bench-smoke: no bench_e* binaries in $1" >&2
     return 1
   fi
-  # Throughput floor on the E6 sweep's single-backend row: the fiber-engine
-  # step loop keeps the single sim backend in the hundreds of thousands of
-  # ops/s even at smoke parameters, so 5x the pre-fiber seed baseline
-  # (~6.7k ops/s) catches a step-loop regression while leaving ample
-  # headroom for slow CI runners.
+  # Throughput floor on the E6 sweep's single-backend row (the median of its
+  # 5 samples): the fiber-engine step loop keeps the single sim backend in
+  # the hundreds of thousands of ops/s even at smoke parameters, so 5x the
+  # pre-fiber seed baseline (~6.7k ops/s) catches a step-loop regression
+  # while leaving ample headroom for slow CI runners.
   # bench_serve is not an E-binary (no paper experiment number) but belongs
   # in the smoke sweep: it enforces the serving invariants and exits nonzero
   # on any violation, so a broken front-end fails this stage.
@@ -125,7 +125,7 @@ with open("BENCH_e6.json") as f:
 rows = [r for r in data["results"] if r["backend"] == "single"]
 if not rows:
     sys.exit("bench-smoke: no single-backend row in BENCH_e6.json")
-ops = rows[0]["ops_per_sec"]
+ops = rows[0]["ops_per_sec"]  # median of the row's samples
 if ops < FLOOR:
     sys.exit(f"bench-smoke: single-backend throughput {ops:,.0f} ops/s "
              f"is below the floor of {FLOOR:,} ops/s — step-loop regression?")

@@ -23,8 +23,8 @@ def bench_table(data):
     yield (f"{cfg.get('procs', '?')} procs, {cfg.get('objects', '?')} objects, "
            f"{cfg.get('ops_per_proc', '?')} ops/proc")
     yield ""
-    yield "| backend | shards | placement | ops | ops/sec | scale vs K=1 |"
-    yield "|---|---|---|---|---|---|"
+    yield "| backend | shards | placement | ops | ops/sec | IQR | scale vs K=1 |"
+    yield "|---|---|---|---|---|---|---|"
     regressions = []
     for row in data["results"]:
         # Rows predating the placement sweep carry neither key; rows
@@ -41,8 +41,12 @@ def bench_table(data):
             regressions.append(
                 f"sharded K={row['shards']}/{placement} runs at {eff:.2f}× "
                 f"the K=1 baseline")
+        # Rows predating repeated samples carry no IQR.
+        iqr = row.get("ops_per_sec_iqr")
+        iqr_cell = f"{iqr:,.0f}" if iqr is not None else "—"
         yield (f"| {row['backend']} | {row['shards']} | {placement} "
-               f"| {row['ops']} | {row['ops_per_sec']:,.0f} | {eff_cell} |")
+               f"| {row['ops']} | {row['ops_per_sec']:,.0f} | {iqr_cell} "
+               f"| {eff_cell} |")
     if regressions:
         yield ""
         yield "**Scaling regressions:**"

@@ -175,38 +175,6 @@ std::string multi_spec::serialize() const {
   return os.str();
 }
 
-std::unique_ptr<spec> make_spec_for(opcode family, value_t init) {
-  switch (family) {
-    case opcode::reg_read:
-    case opcode::reg_write:
-    case opcode::swap:
-      return std::make_unique<register_spec>(init);
-    case opcode::lock_try:
-    case opcode::lock_release:
-      return std::make_unique<lock_spec>();
-    case opcode::cas:
-    case opcode::cas_read:
-      return std::make_unique<cas_spec>(init);
-    case opcode::ctr_read:
-    case opcode::ctr_add:
-      return std::make_unique<counter_spec>(init);
-    case opcode::tas_set:
-    case opcode::tas_reset:
-      return std::make_unique<tas_spec>();
-    case opcode::enq:
-    case opcode::deq:
-      return std::make_unique<queue_spec>();
-    case opcode::push:
-    case opcode::pop:
-      return std::make_unique<stack_spec>();
-    case opcode::max_write:
-    case opcode::max_read:
-      return std::make_unique<max_register_spec>(init);
-    default:
-      throw std::invalid_argument("make_spec_for: no spec for opcode");
-  }
-}
-
 const char* opcode_name(opcode c) noexcept {
   switch (c) {
     case opcode::nop: return "nop";

@@ -166,7 +166,4 @@ class multi_spec final : public spec {
   std::vector<std::pair<std::uint32_t, std::unique_ptr<spec>>> subs_;
 };
 
-/// Construct the natural spec for an opcode family; helper for tests.
-std::unique_ptr<spec> make_spec_for(opcode family, value_t init = 0);
-
 }  // namespace detect::hist

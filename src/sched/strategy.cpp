@@ -144,4 +144,103 @@ std::unique_ptr<sim::scheduler> make_scheduler(
   return std::make_unique<sim::round_robin_scheduler>();
 }
 
+choice_path::choice_path(const explore_config& cfg, std::vector<choice> prefix)
+    : max_crashes_(cfg.max_crashes),
+      max_preemptions_(cfg.max_preemptions),
+      path_(std::move(prefix)) {}
+
+bool choice_path::should_crash(std::uint64_t) {
+  if (depth_ >= path_.size() || crashes_used_ >= max_crashes_) return false;
+  const choice& c = path_[depth_];
+  if (c.index != c.width - 1) return false;
+  ++depth_;
+  ++crashes_used_;
+  current_ = -1;
+  return true;
+}
+
+int choice_path::pick(const std::vector<int>& runnable, std::uint64_t) {
+  // Options: continue current (if runnable) first, then free/preempting
+  // switches to the other candidates in order, then (budget permitting) a
+  // crash — which should_crash() has already declined at this decision.
+  auto cur = std::find(runnable.begin(), runnable.end(), current_);
+  bool switches_are_preemptions = cur != runnable.end();
+  bool preempt_allowed =
+      max_preemptions_ < 0 || preemptions_used_ < max_preemptions_;
+  int width = switches_are_preemptions && !preempt_allowed
+                  ? 1
+                  : static_cast<int>(runnable.size());
+  if (crashes_used_ < max_crashes_) ++width;
+
+  if (depth_ == path_.size()) path_.push_back({0, width});
+  const choice& c = path_[depth_++];
+  if (c.width != width || c.index < 0 || c.index >= width) {
+    throw std::logic_error(
+        "choice_path: nondeterministic replay (option count changed)");
+  }
+  auto index = static_cast<std::size_t>(c.index);
+  if (!switches_are_preemptions) {
+    current_ = runnable[index];
+  } else if (index != 0) {
+    ++preemptions_used_;
+    auto at = static_cast<std::size_t>(cur - runnable.begin());
+    current_ = runnable[index - 1 < at ? index - 1 : index];
+  }
+  return current_;
+}
+
+std::string choice_path::describe() const {
+  std::string s = "exhaustive(depth=" + std::to_string(depth_) +
+                  ", crashes=" + std::to_string(crashes_used_) + "/" +
+                  std::to_string(max_crashes_) + ", preemptions=" +
+                  std::to_string(preemptions_used_);
+  if (max_preemptions_ >= 0) s += "/" + std::to_string(max_preemptions_);
+  return s + ")";
+}
+
+namespace {
+
+std::string path_to_string(const std::vector<choice>& path) {
+  std::string out;
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    if (i != 0) out += ',';
+    out += std::to_string(path[i].index);
+  }
+  return out;
+}
+
+}  // namespace
+
+explore_result explore(
+    const explore_config& cfg,
+    const std::function<run_verdict(choice_path&)>& run_one) {
+  explore_result res;
+  std::vector<choice> path;
+  while (res.runs < cfg.max_runs) {
+    ++res.runs;
+    choice_path run(cfg, std::move(path));
+    run_verdict v = run_one(run);
+    path = run.decisions();
+    if (v.report.hit_step_limit) {
+      ++res.pruned;
+    } else if (!v.failure.empty()) {
+      res.failed = true;
+      res.failure =
+          v.failure + "\n(decision path: " + path_to_string(path) + ")";
+      res.failing_path = std::move(path);
+      return res;
+    }
+    // Backtrack to the deepest decision with an unexplored sibling.
+    while (!path.empty() && path.back().index + 1 >= path.back().width) {
+      path.pop_back();
+    }
+    if (path.empty()) {
+      res.complete = true;
+      return res;
+    }
+    ++path.back().index;
+  }
+  return res;
+}
+
 }  // namespace detect::sched

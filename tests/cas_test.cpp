@@ -4,7 +4,7 @@
 
 #include "core/detectable_cas.hpp"
 #include "core/nrl.hpp"
-#include "sim/explorer.hpp"
+#include "sched/strategy.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -160,29 +160,23 @@ TEST(detectable_cas, lost_race_recovers_as_fail) {
 }
 
 TEST(detectable_cas, exhaustive_two_procs_one_crash_one_preemption) {
-  struct scen final : sim::exploration {
-    api::harness h = api::harness::builder().procs(2).build();
-    scen() {
-      api::cas c = h.add_cas();
-      h.script(0, {c.compare_and_set(0, 1)});
-      h.script(1, {c.compare_and_set(0, 2)});
-      h.runtime().start();
-    }
-    sim::world& get_world() override { return h.world(); }
-    void on_crash() override { h.runtime().on_crash(); }
-    void at_end() override {
-      auto r = h.check();
-      if (!r.ok) throw std::runtime_error(r.message);
-    }
-  };
-  sim::explore_config cfg;
+  sched::explore_config cfg;
   cfg.max_crashes = 1;
   cfg.max_preemptions = 1;
   cfg.max_runs = 100'000;
-  auto res = sim::explore_schedules([] { return std::make_unique<scen>(); }, cfg);
+  auto res = sched::explore(cfg, [](sched::choice_path& path) {
+    auto h = api::harness::builder().procs(2).build();
+    api::cas c = h.add_cas();
+    h.script(0, {c.compare_and_set(0, 1)});
+    h.script(1, {c.compare_and_set(0, 2)});
+    sim::run_report rep = h.run(path, &path);
+    hist::check_result check = h.check();
+    return sched::run_verdict{rep, check.ok ? "" : check.message};
+  });
   EXPECT_FALSE(res.failed) << res.failure;
   EXPECT_TRUE(res.complete) << "runs=" << res.runs;
-  EXPECT_GT(res.runs, 100u);
+  EXPECT_EQ(res.pruned, 0u);
+  EXPECT_EQ(res.runs, 2'214u);
 }
 
 TEST(detectable_cas, vec_bit_flips_only_on_success) {

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/detectable_register.hpp"
-#include "sim/explorer.hpp"
+#include "sched/strategy.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -241,31 +241,24 @@ TEST(detectable_register, line20_returns_fail_when_nothing_intervened) {
 TEST(detectable_register, exhaustive_two_procs_one_crash_one_preemption) {
   // CHESS-style exploration: every crash placement combined with every
   // single-preemption schedule of two concurrent writes.
-  struct scen final : sim::exploration {
-    api::harness h = api::harness::builder().procs(2).build();
-    scen() {
-      api::reg r = h.add_reg();
-      h.script(0, {r.write(1)});
-      h.script(1, {r.write(2)});
-      h.runtime().start();
-    }
-    sim::world& get_world() override { return h.world(); }
-    void on_crash() override { h.runtime().on_crash(); }
-    void at_end() override {
-      auto r = h.check();
-      if (!r.ok) throw std::runtime_error(r.message);
-    }
-  };
-  sim::explore_config cfg;
+  sched::explore_config cfg;
   cfg.max_crashes = 1;
   cfg.max_preemptions = 1;
   cfg.max_runs = 100'000;
-  auto res = sim::explore_schedules([] { return std::make_unique<scen>(); }, cfg);
+  auto res = sched::explore(cfg, [](sched::choice_path& path) {
+    auto h = api::harness::builder().procs(2).build();
+    api::reg r = h.add_reg();
+    h.script(0, {r.write(1)});
+    h.script(1, {r.write(2)});
+    sim::run_report rep = h.run(path, &path);
+    hist::check_result check = h.check();
+    return sched::run_verdict{rep, check.ok ? "" : check.message};
+  });
   EXPECT_FALSE(res.failed) << res.failure;
   EXPECT_TRUE(res.complete) << "exploration should finish within budget; runs="
                             << res.runs;
   EXPECT_EQ(res.pruned, 0u);
-  EXPECT_GT(res.runs, 100u) << "the bounded tree should still be substantial";
+  EXPECT_EQ(res.runs, 5'144u);
 }
 
 TEST(detectable_register, wait_free_step_bound_holds) {

@@ -1,11 +1,13 @@
 // Tests for the deterministic simulator: step-token serialization, crash
-// delivery/unwinding, scheduler policies, and the exhaustive explorer.
+// delivery/unwinding, scheduler policies, and exhaustive exploration.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
+#include <string>
 
 #include "nvm/pcell.hpp"
-#include "sim/explorer.hpp"
+#include "sched/strategy.hpp"
 #include "sim/world.hpp"
 
 namespace {
@@ -237,38 +239,30 @@ TEST(crash_plan, at_steps_fires_once_each) {
   EXPECT_FALSE(plan.should_crash(5));
 }
 
-// ---- explorer ---------------------------------------------------------------
+// ---- exhaustive exploration ------------------------------------------------
 
-namespace exh {
-
-struct counter_scenario final : sim::exploration {
-  sim::world w{2};
-  nvm::pcell<int> c{0, w.domain()};
-  std::function<void(int)> on_done_check;
-
-  counter_scenario() {
-    auto task = [this] {
-      int cur = c.load();
-      c.store(cur + 1);
-    };
-    w.submit(0, task);
-    w.submit(1, task);
-  }
-  sim::world& get_world() override { return w; }
-  void on_crash() override {}
-  void at_end() override {
-    int v = c.peek();
-    // Two non-atomic increments: 1 and 2 are both reachable, nothing else.
-    if (v != 1 && v != 2) throw std::runtime_error("impossible final value");
-  }
-};
-
-}  // namespace exh
+// Two non-atomic increments of one cell on a fresh world, run under `path`;
+// a final value outside [lo, hi] is the violation.
+sched::run_verdict racy_increments(sched::choice_path& path, int lo, int hi,
+                                   sim::world_config cfg = {}) {
+  sim::world w(2, cfg);
+  nvm::pcell<int> c(0, w.domain());
+  auto task = [&] {
+    int cur = c.load();
+    c.store(cur + 1);
+  };
+  w.submit(0, task);
+  w.submit(1, task);
+  sim::run_report rep = w.run(path, &path);
+  int v = c.peek();
+  return {rep, v < lo || v > hi ? "final value " + std::to_string(v) : ""};
+}
 
 TEST(explorer, enumerates_all_interleavings_of_racy_increment) {
-  sim::explore_config cfg;
-  auto res = sim::explore_schedules(
-      [] { return std::make_unique<exh::counter_scenario>(); }, cfg);
+  // Two non-atomic increments: 1 and 2 are both reachable, nothing else.
+  auto res = sched::explore({}, [](sched::choice_path& p) {
+    return racy_increments(p, 1, 2);
+  });
   EXPECT_TRUE(res.complete);
   EXPECT_FALSE(res.failed) << res.failure;
   // Interleavings of 2 sequences of 2 steps each: C(4,2) = 6 schedules.
@@ -276,75 +270,70 @@ TEST(explorer, enumerates_all_interleavings_of_racy_increment) {
 }
 
 TEST(explorer, detects_a_violation_and_reports_path) {
-  struct bad_scenario final : sim::exploration {
-    sim::world w{2};
-    nvm::pcell<int> c{0, w.domain()};
-    bad_scenario() {
-      auto task = [this] {
-        int cur = c.load();
-        c.store(cur + 1);
-      };
-      w.submit(0, task);
-      w.submit(1, task);
-    }
-    sim::world& get_world() override { return w; }
-    void on_crash() override {}
-    void at_end() override {
-      if (c.peek() == 1) throw std::runtime_error("lost update reached");
-    }
+  auto lost_update = [](sched::choice_path& p) {
+    return racy_increments(p, 2, 2);
   };
-  sim::explore_config cfg;
-  auto res = sim::explore_schedules(
-      [] { return std::make_unique<bad_scenario>(); }, cfg);
-  EXPECT_TRUE(res.failed);
-  EXPECT_FALSE(res.failing_path.empty());
+  auto res = sched::explore({}, lost_update);
+  ASSERT_TRUE(res.failed);
+  ASSERT_FALSE(res.failing_path.empty());
+  EXPECT_NE(res.failure.find("final value 1"), std::string::npos)
+      << res.failure;
+  // The reported path alone reproduces the violation, decision for decision.
+  sched::choice_path replay({}, res.failing_path);
+  EXPECT_EQ(lost_update(replay).failure, "final value 1");
+  EXPECT_EQ(replay.decisions(), res.failing_path);
 }
 
 TEST(explorer, crash_options_expand_the_tree) {
   // Crash-tolerant variant: an unwound increment may simply be lost, so any
   // final value in {0, 1, 2} is legal.
-  struct crashable final : sim::exploration {
-    sim::world w{2};
-    nvm::pcell<int> c{0, w.domain()};
-    crashable() {
-      auto task = [this] {
-        int cur = c.load();
-        c.store(cur + 1);
-      };
-      w.submit(0, task);
-      w.submit(1, task);
-    }
-    sim::world& get_world() override { return w; }
-    void on_crash() override {}
-    void at_end() override {
-      int v = c.peek();
-      if (v < 0 || v > 2) throw std::runtime_error("impossible final value");
-    }
+  auto crashable = [](sched::choice_path& p) {
+    return racy_increments(p, 0, 2);
   };
-  sim::explore_config with_crash;
+  sched::explore_config with_crash;
   with_crash.max_crashes = 1;
-  auto res_crash = sim::explore_schedules(
-      [] { return std::make_unique<crashable>(); }, with_crash);
-  sim::explore_config no_crash;
-  auto res_plain = sim::explore_schedules(
-      [] { return std::make_unique<crashable>(); }, no_crash);
+  auto res_crash = sched::explore(with_crash, crashable);
+  auto res_plain = sched::explore({}, crashable);
   EXPECT_TRUE(res_crash.complete);
   EXPECT_FALSE(res_crash.failed) << res_crash.failure;
-  EXPECT_GT(res_crash.runs, res_plain.runs);
+  EXPECT_EQ(res_plain.runs, 6u);
+  EXPECT_EQ(res_crash.runs, 19u) << "6 crash-free runs + 13 crash placements";
+  with_crash.max_preemptions = 0;
+  auto res_bounded = sched::explore(with_crash, crashable);
+  EXPECT_TRUE(res_bounded.complete);
+  EXPECT_EQ(res_bounded.runs, 9u);
 }
 
 TEST(explorer, preemption_bound_shrinks_the_tree) {
-  auto make = [] { return std::make_unique<exh::counter_scenario>(); };
-  sim::explore_config unbounded;
-  auto full = sim::explore_schedules(make, unbounded);
-  sim::explore_config bounded;
+  auto legal = [](sched::choice_path& p) { return racy_increments(p, 1, 2); };
+  auto full = sched::explore({}, legal);
+  sched::explore_config bounded;
   bounded.max_preemptions = 0;
-  auto zero = sim::explore_schedules(make, bounded);
+  auto zero = sched::explore(bounded, legal);
   EXPECT_TRUE(full.complete);
   EXPECT_TRUE(zero.complete);
   EXPECT_EQ(full.runs, 6u) << "all interleavings of 2x2 steps";
   EXPECT_EQ(zero.runs, 2u) << "0 preemptions = the two sequential orders";
   EXPECT_FALSE(zero.failed) << zero.failure;
+}
+
+TEST(explorer, step_limit_prunes_a_run_instead_of_judging_it) {
+  // The world's step limit bounds the search depth: every run stops after 2
+  // of its 4 steps with the counter below 2, and none of them is judged.
+  sim::world_config cfg;
+  cfg.max_steps = 2;
+  auto res = sched::explore({}, [&](sched::choice_path& p) {
+    return racy_increments(p, 2, 2, cfg);
+  });
+  EXPECT_TRUE(res.complete);
+  EXPECT_FALSE(res.failed) << res.failure;
+  EXPECT_EQ(res.runs, 4u) << "two decisions of two options each";
+  EXPECT_EQ(res.pruned, 4u);
+}
+
+TEST(explorer, replay_rejects_a_path_whose_widths_changed) {
+  sched::choice_path bogus({}, {{0, 5}});
+  EXPECT_THROW(racy_increments(bogus, 1, 2), std::logic_error);
 }
 
 }  // namespace

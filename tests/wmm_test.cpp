@@ -17,6 +17,7 @@
 
 #include "fuzz/fuzz.hpp"
 #include "nvm/pcell.hpp"
+#include "sched/strategy.hpp"
 #include "sim/world.hpp"
 #include "wmm/visibility.hpp"
 
@@ -208,6 +209,47 @@ TEST(wmm_world, crash_discards_buffered_stores) {
   sim::round_robin_scheduler rr;
   w.run(rr);  // quiescence has nothing to retire
   EXPECT_EQ(x.peek(), 0) << "a crashed store buffer never drains";
+}
+
+// Exhaustive search over the SB litmus test: every interleaving of the four
+// accesses and, under tso/pso, of the two drain pseudo-pids. Both loads
+// reading stale is unreachable under sc and reachable under tso and pso
+// (each buffer holds one store, so pso's per-cell slots add no schedules).
+TEST(wmm_world, exhaustive_store_buffering_litmus_counts_stale_runs) {
+  struct expected {
+    wmm::visibility_model model;
+    std::uint64_t runs;
+    int both_stale;
+  };
+  for (const expected& e : {expected{wmm::visibility_model::sc, 6, 0},
+                            expected{wmm::visibility_model::tso, 74, 12},
+                            expected{wmm::visibility_model::pso, 74, 12}}) {
+    int both_stale = 0;
+    auto res = sched::explore({}, [&](sched::choice_path& path) {
+      sim::world_config cfg;
+      cfg.visibility = e.model;
+      sim::world w(2, cfg);
+      nvm::pcell<int> x(0, w.domain());
+      nvm::pcell<int> y(0, w.domain());
+      int r0 = -1;
+      int r1 = -1;
+      w.submit(0, [&] {
+        x.store(1);
+        r0 = y.load();
+      });
+      w.submit(1, [&] {
+        y.store(1);
+        r1 = x.load();
+      });
+      sim::run_report rep = w.run(path, &path);
+      if (r0 == 0 && r1 == 0) ++both_stale;
+      return sched::run_verdict{rep, ""};
+    });
+    const char* name = wmm::visibility_name(e.model);
+    EXPECT_TRUE(res.complete) << name;
+    EXPECT_EQ(res.runs, e.runs) << name;
+    EXPECT_EQ(both_stale, e.both_stale) << name;
+  }
 }
 
 // ---- executor gating --------------------------------------------------------
