@@ -71,8 +71,10 @@ int main() {
   row({"crash rate", "crashes", "resp ops", "rec:linear", "rec:fail",
        "verified"});
   rule(6);
+  bool all_verified = true;
   for (double rate : {0.0, 0.005, 0.01, 0.02, 0.05, 0.1}) {
     outcome o = sweep(rate, 40);
+    all_verified = all_verified && o.runs_ok == o.runs_checked;
     row({fmt(rate, 3), bench::fmt_u(o.crashes), bench::fmt_u(o.completed_ops),
          bench::fmt_u(o.verdict_linearized), bench::fmt_u(o.verdict_fail),
          std::to_string(o.runs_ok) + "/" + std::to_string(o.runs_checked)});
@@ -81,5 +83,9 @@ int main() {
       "\nShape check: every run verifies at every crash rate; as the rate\n"
       "grows, recovery verdicts (both kinds) grow while directly-completed\n"
       "responses shrink — yet no operation is ever lost or duplicated.\n");
+  if (!all_verified) {
+    std::printf("\nFAIL: some run did not verify\n");
+    return 1;
+  }
   return 0;
 }

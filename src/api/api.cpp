@@ -360,12 +360,6 @@ void harness::reseed_crashes(std::uint64_t seed) {
   if (pol_.crash_random) std::get<0>(*pol_.crash_random) = seed;
 }
 
-std::unique_ptr<hist::spec> harness::spec() const {
-  auto m = std::make_unique<hist::multi_spec>();
-  for (const auto& [id, proto] : specs_) m->add_object(id, proto->clone());
-  return m;
-}
-
 void harness::submit_op(int pid, hist::op_desc desc, std::uint64_t client_seq) {
   desc.client_seq = client_seq;
   world_->submit(pid, [rt = rt_.get(), pid, desc] {

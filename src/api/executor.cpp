@@ -9,6 +9,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <thread>
 
@@ -106,7 +107,7 @@ class single_executor final : public executor {
 
   std::vector<hist::event> events() const override { return h_.events(); }
   hist::check_result check(const hist::check_options& opt) const override {
-    return h_.check_per_object(opt);
+    return h_.check(opt);
   }
 
  private:
@@ -318,7 +319,12 @@ class sharded_executor final : public executor {
     // crashes it lived through) so check() still sees one contiguous
     // per-object history across the move.
     harness& src = *shards_[static_cast<std::size_t>(rec.shard)];
-    append_object_slice(rec.prefix, src.events(), rec.arrival, object_id);
+    const std::vector<hist::event> log = src.events();
+    append_object_slice(
+        rec.prefix,
+        std::move(hist::partition_by_object(
+            std::span(log).subspan(rec.arrival), std::span(&object_id, 1),
+            /*skip_others=*/true)[0]));
 
     // The transplant proper: NVM image out of the source world, fresh
     // same-layout object in the target world, image back in.
@@ -328,7 +334,6 @@ class sharded_executor final : public executor {
     rec.shard = shard;
     rec.arrival = dst.log().size();
     rec.moved = true;
-    any_migrated_ = true;
   }
 
   int rebalance(const placement_policy& policy) override {
@@ -388,77 +393,62 @@ class sharded_executor final : public executor {
   }
 
   hist::check_result check(const hist::check_options& opt) const override {
-    if (!any_migrated_) {
-      // Crash events are per shard (each shard is its own failure domain),
-      // so decompose shard by shard, each against its own objects' specs —
-      // the per-object fan-out (opt.jobs) applies within each shard's call.
-      hist::check_result res;
-      res.ok = true;
-      for (std::size_t k = 0; k < shards_.size(); ++k) {
-        hist::check_result sub = shards_[k]->check_per_object(opt);
-        res.nodes += sub.nodes;
-        res.objects += sub.objects;
-        res.synthesized_interval |= sub.synthesized_interval;
-        if (!sub.ok) {
-          res.ok = false;
-          res.inconclusive = sub.inconclusive;
-          res.failed_object = sub.failed_object;
-          res.message =
-              "shard " + std::to_string(k) + ": " + sub.message;
-          return res;
-        }
-      }
-      return res;
-    }
-
-    // Once an object has migrated, its history spans shards, so the
-    // per-shard decomposition no longer lines up with object homes. Assemble
-    // each object's contiguous stream instead: the prefix carried along by
-    // migrate() plus the projection of its current shard's log since
-    // arrival (op events of the object + that world's crash events) — still
-    // one independent linearization per object, all handed to the hist
-    // driver in one batch so the jobs fan-out and worst-offender selection
-    // apply here exactly as on the unmigrated paths.
+    // Each hosted object's stream is the prefix migrate() carried along
+    // plus its partition of the current shard's log since arrival (its op
+    // events + that world's crash events — each shard is its own failure
+    // domain). One partition pass per (shard, arrival) group, so a fleet
+    // that never migrated costs one pass per shard; every stream then goes
+    // to the hist driver in one batch, so the jobs fan-out and the
+    // worst-offender choice span all shards.
     std::vector<std::vector<hist::event>> logs;
     logs.reserve(shards_.size());
-    for (const auto& sh : shards_) logs.push_back(sh->events());
-
-    const object_registry& reg = object_registry::global();
-    std::vector<std::unique_ptr<hist::spec>> spec_store;
+    std::map<std::uint32_t, const hist::spec*> specs;  // borrowed from hosts
+    for (const auto& sh : shards_) {
+      logs.push_back(sh->events());
+      for (const auto& [id, sp] : sh->object_specs()) specs.emplace(id, sp);
+    }
     std::vector<hist::object_stream> streams;
     streams.reserve(placed_.size());
+    std::map<std::pair<int, std::size_t>, std::vector<std::size_t>> groups;
     for (const auto& [id, rec] : placed_) {
-      std::vector<hist::event> stream = rec.prefix;
-      append_object_slice(stream, logs[static_cast<std::size_t>(rec.shard)],
-                          rec.arrival, id);
-      spec_store.push_back(reg.make_spec(rec.kind, rec.params));
-      streams.push_back({id, spec_store.back().get(), std::move(stream)});
+      groups[{rec.shard, rec.arrival}].push_back(streams.size());
+      streams.push_back({id, specs.at(id), rec.prefix});
     }
+    for (const auto& [where, members] : groups) {
+      const auto [shard, arrival] = where;
+      std::vector<std::uint32_t> ids;
+      ids.reserve(members.size());
+      for (std::size_t i : members) ids.push_back(streams[i].id);
+      std::vector<std::vector<hist::event>> parts = hist::partition_by_object(
+          std::span(logs[static_cast<std::size_t>(shard)]).subspan(arrival),
+          ids, /*skip_others=*/true);
+      for (std::size_t j = 0; j < members.size(); ++j) {
+        append_object_slice(streams[members[j]].events, std::move(parts[j]));
+      }
+    }
+
     hist::check_result res = hist::check_object_streams(streams, opt);
     if (!res.ok && res.failed_object >= 0) {
-      const auto it = placed_.find(
-          static_cast<std::uint32_t>(res.failed_object));
-      if (it != placed_.end()) {
-        res.message = "shard " + std::to_string(it->second.shard) +
-                      (it->second.moved ? " (object migrated)" : "") + ": " +
-                      res.message;
-      }
+      const placed_object& rec =
+          placed_.at(static_cast<std::uint32_t>(res.failed_object));
+      res.message = "shard " + std::to_string(rec.shard) +
+                    (rec.moved ? " (object migrated)" : "") + ": " +
+                    res.message;
     }
     return res;
   }
 
  private:
-  /// Append `lg[from..)`'s events of object `id` (plus every crash event —
-  /// that world's failure epochs) to `dst`, shifting the op events'
-  /// client_seq past everything already in `dst` for the same pid. Each
-  /// world numbers a process's ops from 1, so without the shift a migrated
-  /// object's stream would repeat (pid, client_seq) pairs across world
-  /// episodes and the checker's duplicate-completion suppression (keyed on
-  /// exactly that pair) could swallow a real completion. All events of one
-  /// episode shift uniformly, so invoke/response/recover stay matched.
+  /// Append one episode of an object's history (its partition of a world's
+  /// log) to `dst`, shifting the op events' client_seq past everything
+  /// already in `dst` for the same pid. Each world numbers a process's ops
+  /// from 1, so without the shift a migrated object's stream would repeat
+  /// (pid, client_seq) pairs across world episodes and the checker's
+  /// duplicate-completion suppression (keyed on exactly that pair) could
+  /// swallow a real completion. All events of one episode shift uniformly,
+  /// so invoke/response/recover stay matched.
   static void append_object_slice(std::vector<hist::event>& dst,
-                                  const std::vector<hist::event>& lg,
-                                  std::size_t from, std::uint32_t id) {
+                                  std::vector<hist::event> episode) {
     std::map<int, std::uint64_t> base;
     for (const hist::event& e : dst) {
       if (e.kind != hist::event_kind::crash) {
@@ -466,15 +456,15 @@ class sharded_executor final : public executor {
         b = std::max(b, e.desc.client_seq);
       }
     }
-    for (std::size_t i = from; i < lg.size(); ++i) {
-      hist::event e = lg[i];
-      if (e.kind == hist::event_kind::crash) {
-        dst.push_back(e);
-      } else if (e.desc.object == id) {
-        auto it = base.find(e.pid);
-        if (it != base.end()) e.desc.client_seq += it->second;
-        dst.push_back(e);
-      }
+    for (hist::event& e : episode) {
+      if (e.kind == hist::event_kind::crash) continue;
+      auto it = base.find(e.pid);
+      if (it != base.end()) e.desc.client_seq += it->second;
+    }
+    if (dst.empty()) {
+      dst = std::move(episode);
+    } else {
+      dst.insert(dst.end(), episode.begin(), episode.end());
     }
   }
 
@@ -505,7 +495,6 @@ class sharded_executor final : public executor {
   /// the merged-log order.
   std::vector<std::vector<std::size_t>> round_marks_;
   std::uint32_t next_id_ = 0;
-  bool any_migrated_ = false;
   /// Last member: destroyed first, so workers are joined while everything
   /// they might reference is still alive.
   util::task_pool pool_;

@@ -36,12 +36,12 @@
 //            it a lincheck-style stress driver on real cores.
 //
 // `check()` always uses per-object decomposition (one linearization per
-// object, never a product spec): the paper's objects are per-object
-// detectable and linearizability is compositional, so the verdict is the
-// same while the search space collapses from a product to a sum. On the
-// sharded backend the decomposition is also what makes checking *possible*:
-// a process's ops on different shards overlap in the merged log, which only
-// per-object projection (each object lives in exactly one shard) untangles.
+// object against its own spec): the paper's objects are per-object
+// detectable and durable linearizability is compositional, so the search
+// space is a sum over objects, not a product. On the sharded backend the
+// decomposition is also what makes checking *possible*: a process's ops on
+// different shards overlap in the merged log, which only per-object
+// projection (each object lives in one shard at a time) untangles.
 #pragma once
 
 #include <cstdint>

@@ -19,7 +19,7 @@
 //
 // Objects are created through typed adders (or by registry kind string),
 // registered with the runtime under fresh ids, and paired with their
-// sequential specs so `check()` can assemble the product spec automatically.
+// sequential specs so `check()` can check each object against its own.
 //
 // For proof-schedule harnesses (the Theorem-2 style "run p until it is about
 // to return" drivers) the underlying world/board/log/runtime stay reachable
@@ -234,21 +234,11 @@ class harness {
 
   // ---- verification --------------------------------------------------------
 
-  /// Product spec of every object added so far (clones of the stored
-  /// prototypes — call as often as needed).
-  std::unique_ptr<hist::spec> spec() const;
-
-  /// Check the recorded history for durable linearizability + detectability
-  /// against the assembled spec.
-  hist::check_result check() const {
-    return hist::check_durable_linearizability(log_->snapshot(), *spec());
-  }
-
-  /// Same verdict via per-object decomposition: one linearization per added
-  /// object instead of one product-spec search — exponentially cheaper on
-  /// multi-object histories (see hist::checker). Budget, shared memo, and
-  /// the per-object fan-out all ride in one hist::check_options.
-  hist::check_result check_per_object(const hist::check_options& opt = {}) const {
+  /// Check the recorded history for durable linearizability + detectability,
+  /// one linearization per added object against its own spec (see
+  /// hist::check_durable_linearizability_per_object). Budget, shared memo,
+  /// and the per-object fan-out all ride in one hist::check_options.
+  hist::check_result check(const hist::check_options& opt = {}) const {
     return hist::check_durable_linearizability_per_object(
         log_->snapshot(), object_specs(), opt);
   }

@@ -13,6 +13,11 @@ namespace {
 
 using sim::next_rand;
 
+/// Crash points are drawn uniformly below this step.
+constexpr std::uint64_t k_max_crash_step = 160;
+/// Generated op values are drawn from 0 .. k_value_range-1.
+constexpr std::uint64_t k_value_range = 8;
+
 /// Uniform pick in [lo, hi] (inclusive).
 std::uint64_t pick(std::uint64_t& rng, std::uint64_t lo, std::uint64_t hi) {
   return lo + next_rand(rng) % (hi - lo + 1);
@@ -135,12 +140,12 @@ std::uint64_t iteration_seed(std::uint64_t base_seed, std::uint64_t iter) {
 }
 
 hist::op_desc random_op(std::uint64_t& rng, api::op_family family, int pid,
-                        const gen_config& cfg) {
+                        const gen_config& /*cfg*/) {
   const std::vector<hist::opcode>& alphabet = api::family_opcodes(family);
   hist::op_desc d;
   d.code = alphabet[next_rand(rng) % alphabet.size()];
   const hist::value_t v = static_cast<hist::value_t>(
-      next_rand(rng) % static_cast<std::uint64_t>(cfg.value_range));
+      next_rand(rng) % k_value_range);
   using hist::opcode;
   switch (d.code) {
     case opcode::reg_write:
@@ -304,16 +309,16 @@ api::scripted_scenario generate(std::uint64_t seed, const std::string& kind,
   if (with_crashes && cfg.max_crashes > 0) {
     std::uint64_t n = pick(rng, 0, static_cast<std::uint64_t>(cfg.max_crashes));
     for (std::uint64_t c = 0; c < n; ++c) {
-      s.crash_steps.push_back(next_rand(rng) % cfg.max_crash_step);
+      s.crash_steps.push_back(next_rand(rng) % k_max_crash_step);
     }
     std::sort(s.crash_steps.begin(), s.crash_steps.end());
   }
   // retry re-attempts recovery-failed ops — only meaningful when recovery
   // verdicts are trustworthy, i.e. for detectable kinds.
-  if (cfg.allow_retry && all_detectable && next_rand(rng) % 4 == 0) {
+  if (all_detectable && next_rand(rng) % 4 == 0) {
     s.policy = core::runtime::fail_policy::retry;
   }
-  if (cfg.allow_shared_cache && next_rand(rng) % 4 == 0) {
+  if (next_rand(rng) % 4 == 0) {
     s.shared_cache = true;
   }
   // Shard-count knob: with backend == single it arms the single-vs-sharded
@@ -364,7 +369,7 @@ api::scripted_scenario generate(std::uint64_t seed, const std::string& kind,
   // Migration knob: crash-free sharded-backend scenarios run their scripts
   // twice with a live object migration in between (enforce_contracts drops
   // plans that conflict with later mutations).
-  if (cfg.allow_migrations && s.backend == api::exec_backend::sharded &&
+  if (s.backend == api::exec_backend::sharded &&
       s.shards > 1 && s.crash_steps.empty() && next_rand(rng) % 4 == 0) {
     const std::uint64_t moves = pick(rng, 1, 2);
     for (std::uint64_t m = 0; m < moves; ++m) {
@@ -526,24 +531,20 @@ api::scripted_scenario mutate(const api::scripted_scenario& base,
         }
         break;
       case 3:
-        if (s.policy == core::runtime::fail_policy::skip && cfg.allow_retry) {
+        if (s.policy == core::runtime::fail_policy::skip) {
           s.policy = core::runtime::fail_policy::retry;
         } else {
           s.policy = core::runtime::fail_policy::skip;
         }
         break;
       case 4:
-        if (cfg.allow_shared_cache || s.shared_cache) {
-          s.shared_cache = !s.shared_cache;
-        } else {
-          applied = false;
-        }
+        s.shared_cache = !s.shared_cache;
         break;
       case 5:  // add a crash point
         if (cfg.crashes &&
             s.crash_steps.size() <
                 static_cast<std::size_t>(std::max(0, cfg.max_crashes))) {
-          s.crash_steps.push_back(next_rand(rng) % cfg.max_crash_step);
+          s.crash_steps.push_back(next_rand(rng) % k_max_crash_step);
           std::sort(s.crash_steps.begin(), s.crash_steps.end());
         } else {
           applied = false;
@@ -652,8 +653,7 @@ api::scripted_scenario mutate(const api::scripted_scenario& base,
         break;
       }
       case 11: {  // migration plan: add a move or drop one
-        const bool can_add = cfg.allow_migrations &&
-                             s.backend == api::exec_backend::sharded &&
+        const bool can_add = s.backend == api::exec_backend::sharded &&
                              s.shards > 1 && s.crash_steps.empty() &&
                              s.migrations.size() < 3 && !s.objects.empty();
         if (can_add && (s.migrations.empty() || next_rand(rng) % 2 == 0)) {

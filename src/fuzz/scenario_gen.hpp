@@ -39,18 +39,13 @@ struct gen_config {
   /// Per-process script length bounds.
   int min_ops = 1;
   int max_ops = 8;
-  /// Crash plan: up to `max_crashes` crash points uniformly below
-  /// `max_crash_step`. Ignored (no crashes generated) when `crashes` is
-  /// false — non-detectable kinds are only meaningful crash-free.
+  /// Crash plan: up to `max_crashes` crash points uniformly below step 160.
+  /// Ignored (no crashes generated) when `crashes` is false — non-detectable
+  /// kinds are only meaningful crash-free. A quarter of the scenarios draw
+  /// fail_policy::retry (all-detectable ones only) and a quarter the
+  /// shared-cache memory model; op values are drawn from 0..7.
   bool crashes = true;
   int max_crashes = 3;
-  std::uint64_t max_crash_step = 160;
-  /// Allow the generator to pick fail_policy::retry / the shared-cache
-  /// memory model for a fraction of scenarios.
-  bool allow_retry = true;
-  bool allow_shared_cache = true;
-  /// Argument domain for generated op values: 0 .. value_range-1.
-  hist::value_t value_range = 8;
   /// Sharded-equivalence knob: scenarios draw `shards` from
   /// [min_shards, max_shards] out of the same xorshift stream (when
   /// min_shards == 1 a coin first keeps about half of them unsharded);
@@ -70,7 +65,12 @@ struct gen_config {
   std::vector<std::string> object_kind_pool;
   /// Let scenarios with shards > 1 run directly on the sharded backend for
   /// about a quarter of the draws (the rest keep backend single, where the
-  /// shard knob feeds the single-vs-sharded equivalence diff instead).
+  /// shard knob feeds the single-vs-sharded equivalence diff instead). A
+  /// quarter of the crash-free sharded-backend scenarios also draw a small
+  /// migration plan (run, migrate, run the scripts again). Crashy scenarios
+  /// never carry migrations — the second script round would see different
+  /// (shard-local) crash schedules on the two sides of the cross-backend
+  /// diffs.
   bool allow_sharded_backend = true;
   /// Placement knob: scenarios with shards > 1 draw a placement policy from
   /// the same xorshift stream (modulo/hash/range, plus pinned with explicit
@@ -78,12 +78,6 @@ struct gen_config {
   /// generated scenario to that policy (fuzz_main --placement). "none"
   /// disables the knob (every scenario keeps modulo).
   std::string placement;
-  /// Migration knob: crash-free sharded-backend scenarios draw a small
-  /// migration plan (run, migrate, run the scripts again) for about a
-  /// quarter of the draws. Crashy scenarios never carry migrations — the
-  /// second script round would see different (shard-local) crash schedules
-  /// on the two sides of the cross-backend diffs.
-  bool allow_migrations = true;
   /// Schedule-strategy pool: each scenario draws its exploration strategy
   /// uniformly from this list ("round_robin", "uniform_random", "pct"). The
   /// default keeps the historical draw stream byte-identical — no schedule
@@ -104,7 +98,9 @@ struct gen_config {
 };
 
 /// One random operation for `family`, drawn from family_opcodes(). `pid` is
-/// threaded through because lock operations carry the caller's pid.
+/// threaded through because lock operations carry the caller's pid. No
+/// gen_config field shapes a single op; the parameter keeps the call shape
+/// every caller already uses.
 hist::op_desc random_op(std::uint64_t& rng, api::op_family family, int pid,
                         const gen_config& cfg);
 

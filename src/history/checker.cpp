@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <thread>
 #include <typeinfo>
-#include <unordered_set>
 
 #include "util/task_pool.hpp"
 
@@ -243,6 +242,34 @@ std::vector<event> object_events(const std::vector<event>& events,
   return out;
 }
 
+std::vector<std::vector<event>> partition_by_object(
+    std::span<const event> events, std::span<const std::uint32_t> ids,
+    bool skip_others) {
+  // (id, stream index) sorted by id: the per-event lookup is a binary search.
+  std::vector<std::pair<std::uint32_t, std::size_t>> slots;
+  slots.reserve(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) slots.emplace_back(ids[i], i);
+  std::sort(slots.begin(), slots.end());
+
+  std::vector<std::vector<event>> out(ids.size());
+  for (const event& e : events) {
+    if (e.kind == event_kind::crash) {
+      for (std::vector<event>& stream : out) stream.push_back(e);
+      continue;
+    }
+    const auto it = std::lower_bound(
+        slots.begin(), slots.end(), e.desc.object,
+        [](const auto& slot, std::uint32_t id) { return slot.first < id; });
+    if (it != slots.end() && it->first == e.desc.object) {
+      out[it->second].push_back(e);
+    } else if (!skip_others) {
+      throw std::invalid_argument("no spec for object id " +
+                                  std::to_string(e.desc.object));
+    }
+  }
+  return out;
+}
+
 namespace {
 
 /// One object's sub-check: project nothing (the stream is pre-built), consult
@@ -345,24 +372,24 @@ check_result check_object_streams(const std::vector<object_stream>& streams,
 check_result check_durable_linearizability_per_object(
     const std::vector<event>& events, const object_spec_list& specs,
     const check_options& opt) {
+  std::vector<std::uint32_t> ids;
+  ids.reserve(specs.size());
+  for (const auto& [id, sp] : specs) ids.push_back(id);
   // Every op event must belong to a spec'd object — a silent skip would
   // vacuously pass histories the caller thought were being checked.
-  std::unordered_set<std::uint32_t> known;
-  known.reserve(specs.size());
-  for (const auto& [id, sp] : specs) known.insert(id);
-  for (const event& e : events) {
-    if (e.kind != event_kind::crash && known.count(e.desc.object) == 0) {
-      check_result res;
-      res.message = "per-object check: no spec for object id " +
-                    std::to_string(e.desc.object);
-      return res;
-    }
+  std::vector<std::vector<event>> parts;
+  try {
+    parts = partition_by_object(events, ids);
+  } catch (const std::invalid_argument& ex) {
+    check_result res;
+    res.message = std::string("per-object check: ") + ex.what();
+    return res;
   }
 
   std::vector<object_stream> streams;
   streams.reserve(specs.size());
-  for (const auto& [id, sp] : specs) {
-    streams.push_back({id, sp, object_events(events, id)});
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    streams.push_back({specs[i].first, specs[i].second, std::move(parts[i])});
   }
   return check_object_streams(streams, opt);
 }

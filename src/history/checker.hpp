@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -34,17 +35,17 @@ struct check_result {
   bool inconclusive = false;  // node budget exhausted
   std::size_t nodes = 0;      // linearizer nodes expanded (summed per object)
   /// Checker-path observations (coverage-bucket food for the fuzzer):
-  /// how many per-object sub-checks ran (0 for the product-spec path, so
-  /// `objects > 1` means the decomposition was genuinely taken), and whether
-  /// build_records synthesized a recovery-window interval for an op whose
-  /// invoke was lost to an announcement-window crash.
+  /// how many per-object sub-checks ran (0 for a single-spec
+  /// check_durable_linearizability call), and whether build_records
+  /// synthesized a recovery-window interval for an op whose invoke was lost
+  /// to an announcement-window crash.
   std::size_t objects = 0;
   bool synthesized_interval = false;
   /// Per-object path only: the object id `message` reports (the worst
   /// offender — see check_durable_linearizability_per_object), -1 when the
   /// check passed or did not take the per-object path. Lets callers (the
-  /// sharded executor's migrated-object path, serve triage) annotate the
-  /// failure without parsing the message.
+  /// sharded executor's shard prefix, serve triage) annotate the failure
+  /// without parsing the message.
   std::int64_t failed_object = -1;
   std::string message;
 };
@@ -70,6 +71,16 @@ using object_spec_list = std::vector<std::pair<std::uint32_t, const spec*>>;
 /// every (global) crash event, in original order.
 std::vector<event> object_events(const std::vector<event>& events,
                                  std::uint32_t object_id);
+
+/// object_events() for every (distinct) id in `ids` in one pass: stream i
+/// holds the op events of ids[i] plus every crash event, in original order.
+/// An op event on an id not in `ids` throws std::invalid_argument ("no spec
+/// for object id N") unless `skip_others`, which drops it instead — the
+/// sharded executor partitions shard logs that also hold other objects'
+/// events.
+std::vector<std::vector<event>> partition_by_object(
+    std::span<const event> events, std::span<const std::uint32_t> ids,
+    bool skip_others = false);
 
 /// Cross-run memo for per-object sub-checks. The differ replays one scenario
 /// many times (single vs sharded, placement variants, per-object kind
@@ -138,7 +149,7 @@ class lin_memo {
 };
 
 /// Knobs of a durable-linearizability check, threaded as one struct through
-/// executor::check → harness::check_per_object → the hist driver (and
+/// executor::check → harness::check → the hist driver (and
 /// api::replay / the differ's variant families) instead of a growing
 /// positional parameter list. Designated initializers keep call sites
 /// self-describing: `check({.node_budget = 1'000'000, .jobs = 4})`.
@@ -166,12 +177,12 @@ struct check_options {
   int jobs = 1;
 };
 
-/// Per-object decomposition: run one linearization per object against its own
-/// spec instead of one search against the product spec. Sound and complete —
-/// linearizability is compositional, and every real-time edge between two ops
-/// of the same object survives the projection — while the search space drops
-/// from the product of all objects' interleavings to their sum. Events naming
-/// an object absent from `specs` fail the check. Every object is checked
+/// Per-object decomposition: partition_by_object, then one linearization per
+/// object against its own spec. Sound and complete — durable
+/// linearizability is compositional, and every real-time edge between two
+/// ops of the same object survives the projection — while the search space
+/// is the sum of the objects' interleavings, not their product. Events
+/// naming an object absent from `specs` fail the check. Every object is checked
 /// (`nodes` sums over all of them; each gets the full node budget); on
 /// failure the message names the *worst offender* — the failing object whose
 /// own sub-check expanded the most nodes, ties broken toward the smallest
@@ -181,9 +192,9 @@ check_result check_durable_linearizability_per_object(
     const check_options& opt = {});
 
 /// One object's pre-projected sub-history with its spec — what the sharded
-/// executor's migrated-object path assembles by hand (prefix carried across
-/// shards + the hosting shard's slice), where no single event vector exists
-/// to project from.
+/// executor assembles per object (prefix carried across shards + the hosting
+/// shard's partition since arrival), where no single event vector exists to
+/// project from.
 struct object_stream {
   std::uint32_t id = 0;
   const spec* sp = nullptr;  // borrowed; cloned internally, never mutated

@@ -152,29 +152,6 @@ value_t max_register_spec::apply(const op_desc& op) {
   }
 }
 
-multi_spec::multi_spec(const multi_spec& other) {
-  subs_.reserve(other.subs_.size());
-  for (const auto& [id, s] : other.subs_) subs_.emplace_back(id, s->clone());
-}
-
-void multi_spec::add_object(std::uint32_t id, std::unique_ptr<spec> s) {
-  subs_.emplace_back(id, std::move(s));
-}
-
-value_t multi_spec::apply(const op_desc& op) {
-  for (auto& [id, s] : subs_) {
-    if (id == op.object) return s->apply(op);
-  }
-  throw std::invalid_argument("multi_spec: unknown object id " +
-                              std::to_string(op.object));
-}
-
-std::string multi_spec::serialize() const {
-  std::ostringstream os;
-  for (const auto& [id, s] : subs_) os << id << '=' << s->serialize() << ';';
-  return os.str();
-}
-
 const char* opcode_name(opcode c) noexcept {
   switch (c) {
     case opcode::nop: return "nop";

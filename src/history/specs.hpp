@@ -146,24 +146,4 @@ class max_register_spec final : public spec {
   value_t max_;
 };
 
-/// Product spec: routes operations to per-object sub-specs by `desc.object`.
-/// Linearizability is compositional, but mixed-object histories are checked
-/// directly against the product when convenient.
-class multi_spec final : public spec {
- public:
-  multi_spec() = default;
-  multi_spec(const multi_spec& other);
-  multi_spec& operator=(const multi_spec&) = delete;
-
-  void add_object(std::uint32_t id, std::unique_ptr<spec> s);
-  std::unique_ptr<spec> clone() const override {
-    return std::make_unique<multi_spec>(*this);
-  }
-  value_t apply(const op_desc& op) override;
-  std::string serialize() const override;
-
- private:
-  std::vector<std::pair<std::uint32_t, std::unique_ptr<spec>>> subs_;
-};
-
 }  // namespace detect::hist

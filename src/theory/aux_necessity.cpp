@@ -77,8 +77,8 @@ aux_outcome run_branch(const aux_scenario& s, bool e_branch) {
     }
   }
 
-  // Checked against the object's own registry spec rather than the harness's
-  // product spec, so `detail` does not depend on how that is assembled.
+  // Checked against the object's own registry spec on the raw log, so
+  // `detail` is the single-object verdict with no per-object framing.
   auto spec = api::object_registry::global().make_spec(s.kind, s.params);
   hist::check_result cr =
       hist::check_durable_linearizability(lg.snapshot(), *spec);

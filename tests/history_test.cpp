@@ -1,7 +1,15 @@
-// Tests for sequential specs, the linearizability checker, and the
-// durable-linearizability/detectability record builder.
+// Tests for sequential specs, the linearizability checker, the
+// durable-linearizability/detectability record builder, and the per-object
+// partition every checker path starts from.
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "api/api.hpp"
+#include "fuzz/scenario_gen.hpp"
 #include "history/checker.hpp"
 #include "history/linearizer.hpp"
 #include "history/specs.hpp"
@@ -69,24 +77,6 @@ TEST(specs, max_register_semantics) {
   s.apply(mk(opcode::max_write, 5));
   s.apply(mk(opcode::max_write, 3));
   EXPECT_EQ(s.apply(mk(opcode::max_read)), 5);
-}
-
-TEST(specs, multi_routes_by_object) {
-  hist::multi_spec m;
-  m.add_object(0, std::make_unique<hist::register_spec>(0));
-  m.add_object(1, std::make_unique<hist::counter_spec>(0));
-  op_desc w = mk(opcode::reg_write, 7);
-  w.object = 0;
-  op_desc a = mk(opcode::ctr_add, 2);
-  a.object = 1;
-  m.apply(w);
-  m.apply(a);
-  op_desc r0 = mk(opcode::reg_read);
-  r0.object = 0;
-  op_desc r1 = mk(opcode::ctr_read);
-  r1.object = 1;
-  EXPECT_EQ(m.apply(r0), 7);
-  EXPECT_EQ(m.apply(r1), 2);
 }
 
 TEST(specs, clone_is_deep) {
@@ -355,6 +345,104 @@ TEST(checker, detects_false_fail_claim_when_effect_observed) {
   };
   auto r = hist::check_durable_linearizability(events, hist::register_spec(0));
   EXPECT_FALSE(r.ok);
+}
+
+// ---- per-object partition -----------------------------------------------------
+
+// Field-wise: event has no operator==, and client_seq is not in to_string().
+void expect_same_events(const std::vector<hist::event>& got,
+                        const std::vector<hist::event>& want,
+                        const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const hist::event& g = got[i];
+    const hist::event& w = want[i];
+    const bool same =
+        g.kind == w.kind && g.pid == w.pid && g.desc.object == w.desc.object &&
+        g.desc.code == w.desc.code && g.desc.a == w.desc.a &&
+        g.desc.b == w.desc.b && g.desc.client_seq == w.desc.client_seq &&
+        g.value == w.value && g.verdict == w.verdict;
+    ASSERT_TRUE(same) << where << " event " << i << ": " << g.to_string()
+                      << " vs " << w.to_string();
+  }
+}
+
+// One pass yields exactly what one object_events() scan per object yields,
+// over the first 100 scenarios of the check_parallel corpus (multi-object,
+// sharded, crashy) — on the whole log and on a tail of it.
+TEST(partition, matches_object_events_on_generated_corpus) {
+  fuzz::gen_config cfg;
+  cfg.max_procs = 3;
+  cfg.max_ops = 6;
+  cfg.max_shards = 3;
+  cfg.max_objects = 3;
+  cfg.object_kind_pool = {"reg", "cas", "counter", "queue", "stack"};
+  cfg.sched_pool = {"round_robin", "uniform_random", "pct"};
+  cfg.persist_pool = {"strict", "buffered"};
+  const std::vector<std::string> kinds = {"reg",   "cas",     "counter",
+                                          "queue", "stack",   "swap",
+                                          "tas",   "max_reg", "lock"};
+  std::size_t crashes = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    const api::scripted_scenario s =
+        fuzz::generate(seed, kinds[seed % kinds.size()], cfg);
+    const std::vector<hist::event> events = api::replay_unchecked(s).events;
+    std::vector<std::uint32_t> ids;
+    for (const api::scenario_object& o : s.objects) ids.push_back(o.id);
+
+    const std::vector<std::vector<hist::event>> parts =
+        hist::partition_by_object(events, ids);
+    ASSERT_EQ(parts.size(), ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      expect_same_events(parts[i], hist::object_events(events, ids[i]),
+                         "seed " + std::to_string(seed) + " object " +
+                             std::to_string(ids[i]));
+    }
+
+    const std::size_t from = events.size() / 2;
+    const std::vector<hist::event> tail(events.begin() + static_cast<long>(from),
+                                        events.end());
+    const std::vector<std::vector<hist::event>> tail_parts =
+        hist::partition_by_object(std::span(events).subspan(from), ids);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      expect_same_events(tail_parts[i], hist::object_events(tail, ids[i]),
+                         "seed " + std::to_string(seed) + " tail object " +
+                             std::to_string(ids[i]));
+    }
+    for (const hist::event& e : events) {
+      crashes += e.kind == hist::event_kind::crash ? 1 : 0;
+    }
+  }
+  EXPECT_GT(crashes, 0u) << "the slice must exercise crash fan-out";
+}
+
+TEST(partition, rejects_ops_on_unrequested_ids) {
+  const std::vector<hist::event> events{
+      ev(hist::event_kind::invoke, 0, mk(opcode::reg_write, 1)),
+      ev(hist::event_kind::crash, -1, {}),
+      ev(hist::event_kind::invoke, 1, {7, opcode::reg_read, 0, 0, 1}),
+  };
+  const std::vector<std::uint32_t> ids{0};
+  try {
+    hist::partition_by_object(events, ids);
+    FAIL() << "an op on object 7 was not requested";
+  } catch (const std::invalid_argument& ex) {
+    EXPECT_EQ(std::string(ex.what()), "no spec for object id 7");
+  }
+
+  // skip_others drops the stray op and keeps the crash.
+  const std::vector<std::vector<hist::event>> kept =
+      hist::partition_by_object(events, ids, /*skip_others=*/true);
+  ASSERT_EQ(kept.size(), 1u);
+  ASSERT_EQ(kept[0].size(), 2u);
+  EXPECT_EQ(kept[0][1].kind, hist::event_kind::crash);
+
+  // The per-object check reports it with the same message.
+  hist::register_spec spec(0);
+  const hist::check_result res =
+      hist::check_durable_linearizability_per_object(events, {{0, &spec}});
+  EXPECT_FALSE(res.ok);
+  EXPECT_EQ(res.message, "per-object check: no spec for object id 7");
 }
 
 }  // namespace
