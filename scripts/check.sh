@@ -6,7 +6,11 @@
 #   scripts/check.sh --fast          # tier-1 only
 #   scripts/check.sh --quick         # one CI build-test cell: build + ctest
 #                                    # (ctest compiles AND runs every example)
-#   scripts/check.sh --fuzz N        # the CI fuzz stage: N bounded iterations
+#   scripts/check.sh --fuzz N [--jobs J]
+#                                    # the CI fuzz stage: N bounded
+#                                    # iterations; --jobs J forks J worker
+#                                    # processes over them (CI runs J = 2,
+#                                    # so the forked merge runs per push)
 #   scripts/check.sh --fuzz-sharded N  # the CI sharded-equivalence stage:
 #                                    # N single-vs-sharded diff iterations
 #   scripts/check.sh --fuzz-placement N  # the CI placement-equivalence
@@ -88,6 +92,15 @@ stage_fuzz() {            # $1 = build dir, $2 = iterations, $3.. = extra flags
     --out "$out" "$@"
 }
 
+fuzz_jobs() {             # $1 $2 = the stage's optional "--jobs J" tail,
+                          # $3 = the worker count without one
+  if [[ "${1:-}" == "--jobs" ]]; then
+    echo "${2:?--jobs needs a worker count}"
+  else
+    echo "$3"
+  fi
+}
+
 stage_bench_smoke() {     # $1 = build dir
   # DETECT_SMOKE shrinks the E1/E2/E9 sweeps; DETECT_BENCH_ITERS bounds the
   # mini_bench fallback of E6 (ignored when real google-benchmark is linked).
@@ -144,13 +157,15 @@ case "${1:-}" in
     ;;
   --fuzz)
     iters="${2:-500}"
+    fuzz_jobs=$(fuzz_jobs "${3:-}" "${4:-}" 1)
     dir="${DETECT_BUILD_DIR:-build-$build_type}"
-    echo "== fuzz: $iters iterations ($dir) =="
+    echo "== fuzz: $iters iterations, $fuzz_jobs worker(s) ($dir) =="
     stage_build "$dir" "$build_type"
     # Unsteered, but still reports its buckets — CI's job summary reads the
     # coverage.json of short campaigns too.
     stage_fuzz "$dir" "$iters" \
-      --coverage-out "${DETECT_COVERAGE_OUT:-coverage.json}"
+      --coverage-out "${DETECT_COVERAGE_OUT:-coverage.json}" \
+      --jobs "$fuzz_jobs"
     ;;
   --fuzz-sharded)
     iters="${2:-500}"
@@ -206,10 +221,7 @@ case "${1:-}" in
     # Optional campaign fan-out: `--fuzz-deep N --jobs J` forks J workers
     # (DETECT_FUZZ_JOBS works too; the flag wins). J > 1 turns the N-budget
     # lane into an N-per-worker-wall-clock campaign on a J-core runner.
-    fuzz_jobs="${DETECT_FUZZ_JOBS:-1}"
-    if [[ "${3:-}" == "--jobs" ]]; then
-      fuzz_jobs="${4:?--jobs needs a worker count}"
-    fi
+    fuzz_jobs=$(fuzz_jobs "${3:-}" "${4:-}" "${DETECT_FUZZ_JOBS:-1}")
     dir="${DETECT_BUILD_DIR:-build-$build_type}"
     echo "== fuzz-deep: $iters coverage-steered multi-object iterations, $fuzz_jobs worker(s) ($dir) =="
     stage_build "$dir" "$build_type"
@@ -244,7 +256,7 @@ case "${1:-}" in
     stage_ctest build-sanitize
     ;;
   *)
-    echo "usage: $0 [--fast | --quick | --fuzz N | --fuzz-sharded N | --fuzz-placement N | --fuzz-sched N | --fuzz-wmm N | --fuzz-deep N [--jobs J] | --bench-smoke | --serve-soak N]" >&2
+    echo "usage: $0 [--fast | --quick | --fuzz N [--jobs J] | --fuzz-sharded N | --fuzz-placement N | --fuzz-sched N | --fuzz-wmm N | --fuzz-deep N [--jobs J] | --bench-smoke | --serve-soak N]" >&2
     exit 2
     ;;
 esac

@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -40,78 +39,48 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> partition_iterations(
 
 namespace {
 
-std::string json_escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-/// One `tag=` coordinate of a bucket key (tag without the '='). The merged
-/// per-strategy and per-visibility tables recompute distinct counts from the
-/// bucket *union* — each worker only knows its own slice's buckets, so its
-/// per-slice distinct counts don't sum across workers.
-std::string coord_of_bucket(const std::string& key, const std::string& tag) {
-  std::size_t at = key.find("|" + tag + "=");
-  if (at == std::string::npos) return "?";
-  at += 2 + tag.size();
-  const std::size_t end = key.find('|', at);
-  return key.substr(at, end == std::string::npos ? end : end - at);
-}
-
-/// What a worker hands back to the supervisor, serialized line-oriented into
-/// `<artifact_dir>/worker-<N>.summary`. Bucket keys and strategy names are
-/// space-free by construction, so whitespace tokenizing is safe; the
-/// artifact path is a line tail. The files double as the archivable
-/// per-worker record the CI lane uploads alongside the failure artifacts.
-struct worker_summary {
-  std::uint64_t executed = 0;
-  std::uint64_t replays = 0;
-  bool failed = false;
-  std::uint64_t failure_iteration = 0;
-  std::string failure_artifact;
-  std::vector<corpus_entry> corpus;  // this slice's novel buckets
-  std::vector<std::pair<std::string, std::uint64_t>> strategy_executed;
-  std::vector<std::pair<std::string, std::uint64_t>> visibility_executed;
-};
-
 std::string summary_path(const std::string& artifact_dir, int worker) {
   return (fs::path(artifact_dir) /
           ("worker-" + std::to_string(worker) + ".summary"))
       .string();
 }
 
-void write_summary(const std::string& path, const worker_summary& ws) {
+/// What a worker hands back to the supervisor — the same worker_report and
+/// coverage_stats the inline path returns — serialized line-oriented into
+/// `<artifact_dir>/worker-<N>.summary`. Only what the merge reads is
+/// written: the slice is the supervisor's own, and per-axis distinct
+/// counts and timelines are recomputed from the bucket union. Bucket keys
+/// and axis values are space-free by construction, so whitespace tokenizing
+/// is safe; the artifact path is a line tail. The files double as the
+/// archivable per-worker record the CI lane uploads alongside the failure
+/// artifacts.
+void write_summary(const std::string& path, const worker_report& w,
+                   const coverage_stats& cov) {
   std::ofstream out(path);
   if (!out) return;  // parent flags the worker lost — silence never passes
-  out << "executed " << ws.executed << "\n";
-  out << "replays " << ws.replays << "\n";
-  out << "failed " << (ws.failed ? 1 : 0) << "\n";
-  if (ws.failed) {
-    out << "failure_iteration " << ws.failure_iteration << "\n";
-    out << "artifact " << ws.failure_artifact << "\n";
+  out << "executed " << w.executed << "\n";
+  out << "replays " << w.replays << "\n";
+  out << "failed " << (w.failed ? 1 : 0) << "\n";
+  if (w.failed) {
+    out << "failure_iteration " << w.failure_iteration << "\n";
+    out << "artifact " << w.failure_artifact << "\n";
   }
-  for (const auto& [name, executed] : ws.strategy_executed) {
-    out << "strategy " << name << " " << executed << "\n";
+  for (const coverage_axis& axis : coverage_axes) {
+    for (const strategy_stats& st : cov.*axis.table) {
+      out << axis.label << " " << st.strategy << " " << st.executed << "\n";
+    }
   }
-  for (const auto& [name, executed] : ws.visibility_executed) {
-    out << "visibility " << name << " " << executed << "\n";
-  }
-  for (const corpus_entry& e : ws.corpus) {
+  for (const corpus_entry& e : cov.corpus) {
     out << "bucket " << e.iteration << " " << e.seed << " "
         << (e.mutated ? 1 : 0) << " " << e.bucket << "\n";
   }
   out << "end\n";
 }
 
-bool read_summary(const std::string& path, worker_summary* ws) {
+/// Parse a summary into the worker's report and coverage. False when the
+/// file is missing or truncated (no `end` line).
+bool read_summary(const std::string& path, worker_report& w,
+                  coverage_stats& cov) {
   std::ifstream in(path);
   if (!in) return false;
   bool complete = false;
@@ -121,58 +90,36 @@ bool read_summary(const std::string& path, worker_summary* ws) {
     std::string tag;
     ls >> tag;
     if (tag == "executed") {
-      ls >> ws->executed;
+      ls >> w.executed;
     } else if (tag == "replays") {
-      ls >> ws->replays;
+      ls >> w.replays;
     } else if (tag == "failed") {
       int v = 0;
       ls >> v;
-      ws->failed = v != 0;
+      w.failed = v != 0;
     } else if (tag == "failure_iteration") {
-      ls >> ws->failure_iteration;
+      ls >> w.failure_iteration;
     } else if (tag == "artifact") {
-      std::getline(ls >> std::ws, ws->failure_artifact);
-    } else if (tag == "strategy") {
-      std::string name;
-      std::uint64_t executed = 0;
-      ls >> name >> executed;
-      ws->strategy_executed.emplace_back(name, executed);
-    } else if (tag == "visibility") {
-      std::string name;
-      std::uint64_t executed = 0;
-      ls >> name >> executed;
-      ws->visibility_executed.emplace_back(name, executed);
+      std::getline(ls >> std::ws, w.failure_artifact);
     } else if (tag == "bucket") {
       corpus_entry e;
       int mutated = 0;
       ls >> e.iteration >> e.seed >> mutated >> e.bucket;
       e.mutated = mutated != 0;
-      ws->corpus.push_back(e);
+      cov.corpus.push_back(e);
     } else if (tag == "end") {
       complete = true;  // truncated file (worker died mid-write) stays lost
+    } else {
+      for (const coverage_axis& axis : coverage_axes) {
+        if (tag != axis.label) continue;
+        strategy_stats st;
+        ls >> st.strategy >> st.executed;
+        (cov.*axis.table).push_back(std::move(st));
+      }
     }
   }
+  w.distinct_buckets = cov.corpus.size();
   return complete;
-}
-
-worker_summary summary_from_stats(const fuzz_stats& stats,
-                                  const std::string& artifact) {
-  worker_summary ws;
-  ws.executed = stats.coverage.executed;
-  ws.replays = stats.replays;
-  ws.corpus = stats.coverage.corpus;
-  for (const strategy_stats& st : stats.coverage.by_strategy) {
-    ws.strategy_executed.emplace_back(st.strategy, st.executed);
-  }
-  for (const strategy_stats& st : stats.coverage.by_visibility) {
-    ws.visibility_executed.emplace_back(st.strategy, st.executed);
-  }
-  if (stats.failure) {
-    ws.failed = true;
-    ws.failure_iteration = stats.failure->iteration;
-    ws.failure_artifact = artifact;
-  }
-  return ws;
 }
 
 /// Write the failing scenario's artifact — the path shape fuzz_main always
@@ -190,74 +137,26 @@ std::string write_artifact(const std::string& dir, const fuzz_failure& f) {
   return path;
 }
 
-/// The merged coverage JSON of a forked campaign: the classic single-
-/// campaign keys (so scripts/job_summary.py renders it unchanged) plus
-/// `jobs` and the per-worker table, with per-worker provenance on every
-/// corpus entry. The global new-bucket timeline is not reconstructible from
-/// per-worker slices (each worker's executed-so-far clock is its own), so it
-/// stays empty here — per-worker discovery counts live in `workers`.
-std::string merged_coverage_json(
-    const campaign_config& cfg, const std::vector<worker_report>& workers,
-    const std::vector<std::pair<corpus_entry, int>>& corpus,
-    std::uint64_t executed,
-    const std::vector<
-        std::pair<std::string, std::pair<std::uint64_t, std::size_t>>>&
-        by_strategy,
-    const std::vector<
-        std::pair<std::string, std::pair<std::uint64_t, std::size_t>>>&
-        by_visibility) {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"base_seed\": " << cfg.options.base_seed << ",\n";
-  os << "  \"iterations\": " << cfg.options.iterations << ",\n";
-  os << "  \"jobs\": " << cfg.jobs() << ",\n";
-  os << "  \"executed\": " << executed << ",\n";
-  os << "  \"distinct_buckets\": " << corpus.size() << ",\n";
-  os << "  \"steered\": " << (cfg.options.steer ? "true" : "false") << ",\n";
-  os << "  \"new_bucket_timeline\": [],\n";
-  os << "  \"workers\": [\n";
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    const worker_report& w = workers[i];
-    os << "    {\"worker\": " << w.worker
-       << ", \"first_iteration\": " << w.first_iteration
-       << ", \"iterations\": " << w.iterations
-       << ", \"executed\": " << w.executed << ", \"replays\": " << w.replays
-       << ", \"new_buckets\": " << w.distinct_buckets
-       << ", \"failed\": " << (w.failed ? "true" : "false")
-       << ", \"lost\": " << (w.lost || w.error ? "true" : "false") << "}";
-    os << (i + 1 < workers.size() ? ",\n" : "\n");
+/// The report of a finished run of `opt` — one function for the inline path
+/// and the forked worker. A failure's artifact is written into
+/// `artifact_dir` when one is set.
+worker_report report_of(const fuzz_options& opt, const fuzz_stats& stats,
+                        const std::string& artifact_dir) {
+  worker_report w;
+  w.worker = opt.worker_index;
+  w.first_iteration = opt.first_iteration;
+  w.iterations = opt.iterations;
+  w.executed = stats.coverage.executed;
+  w.replays = stats.replays;
+  w.distinct_buckets = stats.coverage.distinct_buckets;
+  if (stats.failure) {
+    w.failed = true;
+    w.failure_iteration = stats.failure->iteration;
+    if (!artifact_dir.empty()) {
+      w.failure_artifact = write_artifact(artifact_dir, *stats.failure);
+    }
   }
-  os << "  ],\n";
-  os << "  \"by_strategy\": [\n";
-  for (std::size_t i = 0; i < by_strategy.size(); ++i) {
-    os << "    {\"strategy\": \"" << json_escaped(by_strategy[i].first)
-       << "\", \"executed\": " << by_strategy[i].second.first
-       << ", \"distinct_buckets\": " << by_strategy[i].second.second
-       << ", \"new_bucket_timeline\": []}";
-    os << (i + 1 < by_strategy.size() ? ",\n" : "\n");
-  }
-  os << "  ],\n";
-  os << "  \"by_visibility\": [\n";
-  for (std::size_t i = 0; i < by_visibility.size(); ++i) {
-    os << "    {\"visibility\": \"" << json_escaped(by_visibility[i].first)
-       << "\", \"executed\": " << by_visibility[i].second.first
-       << ", \"distinct_buckets\": " << by_visibility[i].second.second
-       << ", \"new_bucket_timeline\": []}";
-    os << (i + 1 < by_visibility.size() ? ",\n" : "\n");
-  }
-  os << "  ],\n";
-  os << "  \"corpus\": [\n";
-  for (std::size_t i = 0; i < corpus.size(); ++i) {
-    const corpus_entry& e = corpus[i].first;
-    os << "    {\"iteration\": " << e.iteration << ", \"seed\": " << e.seed
-       << ", \"mutated\": " << (e.mutated ? "true" : "false")
-       << ", \"worker\": " << corpus[i].second << ", \"bucket\": \""
-       << json_escaped(e.bucket) << "\"}";
-    os << (i + 1 < corpus.size() ? ",\n" : "\n");
-  }
-  os << "  ]\n";
-  os << "}\n";
-  return os.str();
+  return w;
 }
 
 /// Inline (jobs <= 1) path: exactly the classic run_fuzz campaign, plus the
@@ -267,27 +166,12 @@ campaign_result run_inline(
     const std::function<void(std::uint64_t, std::uint64_t,
                              const std::string&)>& progress) {
   campaign_result r;
-  r.stats = run_fuzz(cfg.options, cfg.quiet() ? nullptr : progress);
+  r.stats = run_fuzz(cfg.options, cfg.quiet ? nullptr : progress);
+  r.workers.push_back(report_of(cfg.options, r.stats, cfg.artifact_dir));
+  if (r.stats.failure) r.exit_code = 1;
 
-  worker_report w;
-  w.worker = cfg.options.worker_index;
-  w.first_iteration = cfg.options.first_iteration;
-  w.iterations = cfg.options.iterations;
-  w.executed = r.stats.coverage.executed;
-  w.replays = r.stats.replays;
-  w.distinct_buckets = r.stats.coverage.distinct_buckets;
-  if (r.stats.failure) {
-    w.failed = true;
-    w.failure_iteration = r.stats.failure->iteration;
-    if (!cfg.artifact_dir().empty()) {
-      w.failure_artifact = write_artifact(cfg.artifact_dir(), *r.stats.failure);
-    }
-    r.exit_code = 1;
-  }
-  r.workers.push_back(std::move(w));
-
-  if (!cfg.coverage_out().empty()) {
-    std::ofstream out(cfg.coverage_out());
+  if (!cfg.coverage_out.empty()) {
+    std::ofstream out(cfg.coverage_out);
     if (!out) {
       r.exit_code = 2;
     } else {
@@ -304,7 +188,7 @@ campaign_result run_campaign(
     const campaign_config& cfg,
     const std::function<void(std::uint64_t, std::uint64_t,
                              const std::string&)>& progress) {
-  if (cfg.jobs() <= 1 || cfg.options.iterations <= 1) {
+  if (cfg.jobs <= 1 || cfg.options.iterations <= 1) {
     return run_inline(cfg, progress);
   }
 #if !DETECT_CAMPAIGN_FORK
@@ -313,7 +197,7 @@ campaign_result run_campaign(
   std::fprintf(stderr,
                "campaign: --jobs %d unsupported on this platform; "
                "running inline\n",
-               cfg.jobs());
+               cfg.jobs);
   return run_inline(cfg, progress);
 #else
   campaign_result r;
@@ -323,22 +207,21 @@ campaign_result run_campaign(
   // and default the shared steering corpus to living beside the artifacts so
   // one upload archives both.
   campaign_config effective = cfg;
-  if (effective.artifact_dir().empty()) {
-    effective.artifact_dir("fuzz-artifacts");
-  }
+  if (effective.artifact_dir.empty()) effective.artifact_dir = "fuzz-artifacts";
   if (effective.options.corpus_dir.empty()) {
     effective.options.corpus_dir =
-        (fs::path(effective.artifact_dir()) / "corpus").string();
+        (fs::path(effective.artifact_dir) / "corpus").string();
   }
   std::error_code ec;
-  fs::create_directories(effective.artifact_dir(), ec);
+  fs::create_directories(effective.artifact_dir, ec);
 
   const auto slices =
-      partition_iterations(effective.options.iterations, effective.jobs());
+      partition_iterations(effective.options.iterations, effective.jobs);
 
   struct child {
     pid_t pid = -1;
     worker_report report;
+    coverage_stats coverage;  // from the worker's summary
   };
   std::vector<child> children;
   children.reserve(slices.size());
@@ -356,7 +239,7 @@ campaign_result run_campaign(
       // Could not spawn: flag as lost and keep going — the workers that did
       // start still merge.
       rep.lost = true;
-      children.push_back({-1, std::move(rep)});
+      children.push_back({-1, std::move(rep), {}});
       continue;
     }
     if (pid == 0) {
@@ -371,7 +254,7 @@ campaign_result run_campaign(
         fuzz_stats stats = run_fuzz(
             wopt,
             [&](std::uint64_t iter, std::uint64_t, const std::string&) {
-              if (effective.quiet()) return;
+              if (effective.quiet) return;
               // Sparse prefixed progress: ~10 lines per worker, not one per
               // iteration — N workers share one terminal.
               const std::uint64_t stride = wopt.iterations / 10 + 1;
@@ -384,19 +267,20 @@ campaign_result run_campaign(
                 std::fflush(stdout);
               }
             });
-        std::string artifact;
+        const worker_report report =
+            report_of(wopt, stats, effective.artifact_dir);
         if (stats.failure) {
-          artifact = write_artifact(effective.artifact_dir(), *stats.failure);
-          std::printf(
-              "[w%d] FAIL at iteration %llu (seed %llu): %s\n",
-              wopt.worker_index,
-              static_cast<unsigned long long>(stats.failure->iteration),
-              static_cast<unsigned long long>(stats.failure->seed),
-              artifact.empty() ? "artifact unwritable" : artifact.c_str());
+          std::printf("[w%d] FAIL at iteration %llu (seed %llu): %s\n",
+                      wopt.worker_index,
+                      static_cast<unsigned long long>(report.failure_iteration),
+                      static_cast<unsigned long long>(stats.failure->seed),
+                      report.failure_artifact.empty()
+                          ? "artifact unwritable"
+                          : report.failure_artifact.c_str());
           std::fflush(stdout);
         }
-        write_summary(summary_path(effective.artifact_dir(), wopt.worker_index),
-                      summary_from_stats(stats, artifact));
+        write_summary(summary_path(effective.artifact_dir, wopt.worker_index),
+                      report, stats.coverage);
         code = stats.failure ? 1 : 0;
       } catch (const std::exception& e) {
         std::fprintf(stderr, "[w%d] error: %s\n", static_cast<int>(w),
@@ -407,10 +291,11 @@ campaign_result run_campaign(
       _exit(code);
       // ----------------------------------------------------------------
     }
-    children.push_back({pid, std::move(rep)});
+    children.push_back({pid, std::move(rep), {}});
   }
 
-  // Collect. Workers are independent; wait order does not matter.
+  // Collect. Workers are independent; wait order does not matter. Each
+  // summary is read once, straight into the worker's report and coverage.
   for (child& c : children) {
     if (c.pid < 0) continue;
     int status = 0;
@@ -419,84 +304,45 @@ campaign_result run_campaign(
       continue;
     }
     if (WEXITSTATUS(status) == 2) c.report.error = true;
-    worker_summary ws;
-    if (!read_summary(summary_path(effective.artifact_dir(), c.report.worker),
-                      &ws)) {
+    worker_report rep = c.report;
+    if (!read_summary(summary_path(effective.artifact_dir, rep.worker), rep,
+                      c.coverage)) {
       // Exited but never published a complete summary: lost, unless it
       // already declared an infrastructure error.
       if (!c.report.error) c.report.lost = true;
       continue;
     }
-    c.report.executed = ws.executed;
-    c.report.replays = ws.replays;
-    c.report.distinct_buckets = ws.corpus.size();
-    c.report.failed = ws.failed;
-    c.report.failure_iteration = ws.failure_iteration;
-    c.report.failure_artifact = ws.failure_artifact;
-
-    r.stats.iterations += ws.executed;
-    r.stats.replays += ws.replays;
-    r.stats.coverage.executed += ws.executed;
+    c.report = std::move(rep);
+    r.stats.iterations += c.report.executed;
+    r.stats.replays += c.report.replays;
+    r.stats.coverage.executed += c.report.executed;
   }
 
-  // Bucket union with provenance: first discovery (by absolute iteration)
-  // wins, so the merged corpus is independent of which worker finished
-  // first.
-  std::vector<std::pair<corpus_entry, int>> merged;
+  // Bucket union: first discovery (by absolute iteration) wins, so the
+  // merged corpus is independent of which worker finished first.
+  std::vector<corpus_entry>& corpus = r.stats.coverage.corpus;
   std::map<std::string, std::size_t> by_key;
-  std::map<std::string, std::uint64_t> strategy_executed;
-  std::map<std::string, std::uint64_t> visibility_executed;
+  axis_tally tally;
   for (const child& c : children) {
     if (c.report.lost || c.report.error) continue;
-    worker_summary ws;
-    if (!read_summary(summary_path(effective.artifact_dir(), c.report.worker),
-                      &ws)) {
-      continue;
-    }
-    for (const auto& [name, executed] : ws.strategy_executed) {
-      strategy_executed[name] += executed;
-    }
-    for (const auto& [name, executed] : ws.visibility_executed) {
-      visibility_executed[name] += executed;
-    }
-    for (const corpus_entry& e : ws.corpus) {
-      auto it = by_key.find(e.bucket);
-      if (it == by_key.end()) {
-        by_key.emplace(e.bucket, merged.size());
-        merged.emplace_back(e, c.report.worker);
-      } else if (e.iteration < merged[it->second].first.iteration) {
-        merged[it->second] = {e, c.report.worker};
+    tally.add_executed(c.coverage);
+    for (const corpus_entry& e : c.coverage.corpus) {
+      const auto [it, novel] = by_key.emplace(e.bucket, corpus.size());
+      if (novel) {
+        corpus.push_back(e);
+      } else if (e.iteration < corpus[it->second].iteration) {
+        corpus[it->second] = e;
       }
     }
   }
-  std::sort(merged.begin(), merged.end(), [](const auto& a, const auto& b) {
-    return a.first.iteration < b.first.iteration;
-  });
-  std::map<std::string, std::size_t> strategy_distinct;
-  std::map<std::string, std::size_t> visibility_distinct;
-  for (const auto& [e, worker] : merged) {
-    ++strategy_distinct[coord_of_bucket(e.bucket, "sched")];
-    ++visibility_distinct[coord_of_bucket(e.bucket, "vis")];
-    r.stats.coverage.corpus.push_back(e);
-  }
-  r.stats.coverage.distinct_buckets = merged.size();
+  std::sort(corpus.begin(), corpus.end(),
+            [](const corpus_entry& a, const corpus_entry& b) {
+              return a.iteration < b.iteration;
+            });
+  for (const corpus_entry& e : corpus) tally.add_bucket(e.bucket);
+  tally.fill(r.stats.coverage);
+  r.stats.coverage.distinct_buckets = corpus.size();
   r.stats.coverage.steered = effective.options.steer;
-  std::vector<std::pair<std::string, std::pair<std::uint64_t, std::size_t>>>
-      by_strategy;
-  for (const auto& [name, executed] : strategy_executed) {
-    by_strategy.emplace_back(name,
-                             std::make_pair(executed, strategy_distinct[name]));
-    r.stats.coverage.by_strategy.push_back(
-        {name, executed, strategy_distinct[name], {}});
-  }
-  std::vector<std::pair<std::string, std::pair<std::uint64_t, std::size_t>>>
-      by_visibility;
-  for (const auto& [name, executed] : visibility_executed) {
-    by_visibility.emplace_back(
-        name, std::make_pair(executed, visibility_distinct[name]));
-    r.stats.coverage.by_visibility.push_back(
-        {name, executed, visibility_distinct[name], {}});
-  }
 
   for (child& c : children) r.workers.push_back(std::move(c.report));
 
@@ -508,14 +354,14 @@ campaign_result run_campaign(
   }
   r.exit_code = any_lost ? 2 : (any_failed ? 1 : 0);
 
-  if (!effective.coverage_out().empty()) {
-    std::ofstream out(effective.coverage_out());
+  if (!effective.coverage_out.empty()) {
+    std::ofstream out(effective.coverage_out);
     if (!out) {
       r.exit_code = 2;
     } else {
-      out << merged_coverage_json(effective, r.workers, merged,
-                                  r.stats.coverage.executed, by_strategy,
-                                  by_visibility);
+      out << r.stats.coverage.to_json(effective.options.base_seed,
+                                      effective.options.iterations,
+                                      r.workers);
     }
   }
   return r;

@@ -1,18 +1,18 @@
 // campaign — multi-process fuzz campaign supervisor.
 //
-// One campaign_config consolidates run_fuzz's knob list (iterations, seed,
-// steering, kinds, generator config) with the campaign-level concerns the
-// CLI used to juggle loose (artifact dir, coverage output, job count, shared
-// corpus dir) behind fluent setters in the style of executor::builder:
+// A campaign_config is a plain aggregate, like fuzz_options: the per-worker
+// engine options plus the campaign-level concerns (job count, artifact dir,
+// coverage output, quiet):
 //
-//   auto r = fuzz::run_campaign(fuzz::campaign_config()
-//                                   .iterations(300000)
-//                                   .seed(42)
-//                                   .steer(true)
-//                                   .jobs(4)
-//                                   .corpus_dir("corpus/")
-//                                   .artifact_dir("fuzz-artifacts/")
-//                                   .coverage_out("coverage.json"));
+//   fuzz::campaign_config cfg;
+//   cfg.options.iterations = 300000;
+//   cfg.options.base_seed = 42;
+//   cfg.options.steer = true;
+//   cfg.options.corpus_dir = "corpus/";
+//   cfg.jobs = 4;
+//   cfg.artifact_dir = "fuzz-artifacts/";
+//   cfg.coverage_out = "coverage.json";
+//   auto r = fuzz::run_campaign(cfg);
 //
 // jobs <= 1 runs run_fuzz inline — byte-identical to the pre-campaign CLI.
 // jobs > 1 forks N worker processes (POSIX; non-POSIX hosts fall back to the
@@ -21,16 +21,19 @@
 // from the same (base_seed, absolute-iteration) stream, so the campaign
 // covers exactly the serial campaign's scenario set, N-ways parallel.
 // Workers cross-pollinate steering corpora through the shared corpus
-// directory, write per-worker summaries + shrunk failure artifacts into the
-// artifact dir, and the parent merges coverage into one
-// campaign-coverage.json: executed sums, buckets union (with per-worker
-// provenance on every corpus entry), per-strategy tables recomputed from the
-// union. A worker that dies without reporting (signal, OOM) is flagged
-// `lost` and fails the campaign — silence is never success.
+// directory and write shrunk failure artifacts into the artifact dir. Each
+// worker hands back the record the inline path returns — its worker_report
+// plus its coverage_stats — in a `worker-N.summary` file; the parent merges
+// them into one coverage_stats (executed sums, buckets union with first-
+// discovery provenance, per-strategy and per-visibility tables recomputed
+// from the union by the same axis_tally run_fuzz uses) and writes it with
+// the same coverage_stats::to_json, adding `jobs` and the `workers` table.
+// A worker that dies without reporting (signal, OOM) is flagged `lost` and
+// fails the campaign — silence is never success.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,77 +42,25 @@
 
 namespace detect::fuzz {
 
-class campaign_config {
- public:
-  /// The inner per-worker engine options. Exposed directly so CLI parsing
-  /// can reach every generator knob without a setter per field; the fluent
-  /// setters below cover the campaign-shaping subset.
+struct campaign_config {
+  /// The per-worker engine options (iterations, seed, steering, kinds,
+  /// generator config). A forked campaign with no corpus_dir shares one at
+  /// `<artifact_dir>/corpus`.
   fuzz_options options;
-
-  campaign_config& iterations(std::uint64_t n) {
-    options.iterations = n;
-    return *this;
-  }
-  campaign_config& seed(std::uint64_t s) {
-    options.base_seed = s;
-    return *this;
-  }
-  campaign_config& kinds(std::vector<std::string> k) {
-    options.kinds = std::move(k);
-    return *this;
-  }
-  campaign_config& steer(bool on) {
-    options.steer = on;
-    return *this;
-  }
-  campaign_config& check_jobs(int n) {
-    options.check_jobs = n;
-    return *this;
-  }
   /// Worker processes. 1 (default) = inline in this process; N > 1 forks N
   /// workers over a partition of the iteration range (clamped to the
   /// iteration count — a 3-iteration --jobs 8 campaign forks 3 workers).
-  campaign_config& jobs(int n) {
-    jobs_ = n;
-    return *this;
-  }
-  /// Shared on-disk corpus directory (see fuzz_options::corpus_dir). Armed
-  /// automatically per worker; also usable with jobs == 1 to persist and
-  /// resume discoveries across campaigns.
-  campaign_config& corpus_dir(std::string dir) {
-    options.corpus_dir = std::move(dir);
-    return *this;
-  }
+  int jobs = 1;
   /// Where failure artifacts and per-worker summaries land. Forked
   /// campaigns require one (failures in a child are otherwise unreportable
   /// in full); run_campaign defaults it to "fuzz-artifacts" when jobs > 1
   /// and none is set.
-  campaign_config& artifact_dir(std::string dir) {
-    artifact_dir_ = std::move(dir);
-    return *this;
-  }
-  /// Merged coverage JSON path ("" = don't write). Inline campaigns write
-  /// the classic single-campaign shape; forked campaigns add `jobs` and a
+  std::string artifact_dir;
+  /// Coverage JSON path ("" = don't write). Inline campaigns write the
+  /// classic single-campaign shape; forked campaigns add `jobs` and a
   /// per-worker `workers` table.
-  campaign_config& coverage_out(std::string path) {
-    coverage_out_ = std::move(path);
-    return *this;
-  }
-  campaign_config& quiet(bool on) {
-    quiet_ = on;
-    return *this;
-  }
-
-  int jobs() const noexcept { return jobs_; }
-  const std::string& artifact_dir() const noexcept { return artifact_dir_; }
-  const std::string& coverage_out() const noexcept { return coverage_out_; }
-  bool quiet() const noexcept { return quiet_; }
-
- private:
-  int jobs_ = 1;
-  std::string artifact_dir_;
-  std::string coverage_out_;
-  bool quiet_ = false;
+  std::string coverage_out;
+  bool quiet = false;
 };
 
 /// Partition `total` iterations into at most `jobs` contiguous
@@ -117,21 +68,6 @@ class campaign_config {
 /// remainder spread one-each over the leading workers, empty slices dropped.
 std::vector<std::pair<std::uint64_t, std::uint64_t>> partition_iterations(
     std::uint64_t total, int jobs);
-
-/// One worker's outcome as the supervisor saw it.
-struct worker_report {
-  int worker = 0;
-  std::uint64_t first_iteration = 0;
-  std::uint64_t iterations = 0;  // slice size assigned
-  std::uint64_t executed = 0;    // iterations actually run
-  std::uint64_t replays = 0;
-  std::size_t distinct_buckets = 0;  // within this worker's slice
-  bool failed = false;  // found a real failure (artifact written)
-  bool error = false;   // infrastructure error (exit 2)
-  bool lost = false;    // died without reporting (signal/OOM) — flagged red
-  std::uint64_t failure_iteration = 0;  // valid when failed
-  std::string failure_artifact;         // path, when failed and writable
-};
 
 struct campaign_result {
   /// Inline path: the run's full fuzz_stats. Forked path: merged coverage

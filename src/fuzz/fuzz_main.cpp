@@ -44,7 +44,7 @@
 //
 // Exit status: 0 clean, 1 failure found (artifact written when --out is
 // set), 2 usage/IO error or lost worker. The same binary backs the CI fuzz
-// stages (`scripts/check.sh --fuzz N` / `--fuzz-sharded N` /
+// stages (`scripts/check.sh --fuzz N [--jobs J]` / `--fuzz-sharded N` /
 // `--fuzz-deep N [--jobs J]`).
 #include <cerrno>
 #include <cstdio>
@@ -149,25 +149,25 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--iters") == 0) {
-      cfg.iterations(need_u64(i));
+      opt.iterations = need_u64(i);
       if (opt.iterations == 0) {
         std::fprintf(stderr, "fuzz_main: --iters must be positive\n");
         return 2;
       }
     } else if (std::strcmp(arg, "--seed") == 0) {
-      cfg.seed(need_u64(i));
+      opt.base_seed = need_u64(i);
     } else if (std::strcmp(arg, "--kind") == 0) {
       opt.kinds.emplace_back(need_value(i));
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      cfg.jobs(static_cast<int>(need_u64(i)));
-      if (cfg.jobs() < 1) {
+      cfg.jobs = static_cast<int>(need_u64(i));
+      if (cfg.jobs < 1) {
         std::fprintf(stderr, "fuzz_main: --jobs must be positive\n");
         return 2;
       }
     } else if (std::strcmp(arg, "--check-jobs") == 0) {
-      cfg.check_jobs(static_cast<int>(need_u64(i)));
+      opt.check_jobs = static_cast<int>(need_u64(i));
     } else if (std::strcmp(arg, "--corpus-dir") == 0) {
-      cfg.corpus_dir(need_value(i));
+      opt.corpus_dir = need_value(i);
     } else if (std::strcmp(arg, "--procs-max") == 0) {
       opt.gen.max_procs = static_cast<int>(need_u64(i));
     } else if (std::strcmp(arg, "--ops-max") == 0) {
@@ -251,12 +251,12 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strcmp(arg, "--coverage") == 0) {
-      cfg.steer(true);
+      opt.steer = true;
     } else if (std::strcmp(arg, "--coverage-out") == 0) {
       // Coverage is tracked on every campaign; this only chooses to write
       // it out. Steering stays governed by --coverage, so a plain campaign
       // can still report its buckets without changing how it generates.
-      cfg.coverage_out(need_value(i));
+      cfg.coverage_out = need_value(i);
     } else if (std::strcmp(arg, "--no-diff") == 0) {
       opt.diff = false;
     } else if (std::strcmp(arg, "--no-shrink") == 0) {
@@ -264,11 +264,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--no-crashes") == 0) {
       opt.gen.crashes = false;
     } else if (std::strcmp(arg, "--out") == 0) {
-      cfg.artifact_dir(need_value(i));
+      cfg.artifact_dir = need_value(i);
     } else if (std::strcmp(arg, "--replay") == 0) {
       replay_path = need_value(i);
     } else if (std::strcmp(arg, "--quiet") == 0) {
-      cfg.quiet(true);
+      cfg.quiet = true;
     } else if (std::strcmp(arg, "--list-kinds") == 0) {
       for (const std::string& k : api::object_registry::global().kinds()) {
         std::printf("%s\n", k.c_str());
@@ -344,8 +344,8 @@ int main(int argc, char** argv) {
           }
         });
 
-    if (!cfg.coverage_out().empty() && r.exit_code != 2) {
-      std::printf("coverage written to %s\n", cfg.coverage_out().c_str());
+    if (!cfg.coverage_out.empty() && r.exit_code != 2) {
+      std::printf("coverage written to %s\n", cfg.coverage_out.c_str());
     }
 
     if (r.forked) {

@@ -29,18 +29,6 @@ std::vector<std::string> resolved_kinds(const fuzz_options& opt) {
   return api::object_registry::global().kinds();
 }
 
-}  // namespace
-
-std::string fuzz_one(std::uint64_t seed, const std::string& kind,
-                     const fuzz_options& opt, std::uint64_t* replays) {
-  api::scripted_scenario s =
-      generate(seed, kind, resolved_gen(opt, resolved_kinds(opt)));
-  return check_scenario(s, opt.diff, replays, nullptr, opt.placement_equiv,
-                        opt.check_jobs);
-}
-
-namespace {
-
 /// Prefix every line with "# " so a parse of the artifact skips the block.
 std::string commented(const std::string& text) {
   std::ostringstream os;
@@ -64,61 +52,125 @@ std::string json_escaped(const std::string& s) {
   return out;
 }
 
-}  // namespace
+/// One `tag=` coordinate of a bucket key (tag without the '=').
+std::string coord_of_bucket(const std::string& key, const std::string& tag) {
+  std::size_t at = key.find("|" + tag + "=");
+  if (at == std::string::npos) return "?";
+  at += 2 + tag.size();
+  const std::size_t end = key.find('|', at);
+  return key.substr(at, end == std::string::npos ? end : end - at);
+}
 
-std::string coverage_stats::to_json(std::uint64_t base_seed,
-                                    std::uint64_t iterations) const {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"base_seed\": " << base_seed << ",\n";
-  os << "  \"iterations\": " << iterations << ",\n";
-  os << "  \"executed\": " << executed << ",\n";
-  os << "  \"distinct_buckets\": " << distinct_buckets << ",\n";
-  os << "  \"steered\": " << (steered ? "true" : "false") << ",\n";
-  os << "  \"new_bucket_timeline\": [";
+void timeline_json(
+    std::ostream& os,
+    const std::vector<std::pair<std::uint64_t, std::size_t>>& timeline) {
+  os << "[";
   for (std::size_t i = 0; i < timeline.size(); ++i) {
     if (i != 0) os << ", ";
     os << "[" << timeline[i].first << ", " << timeline[i].second << "]";
   }
-  os << "],\n";
-  os << "  \"by_strategy\": [\n";
-  for (std::size_t i = 0; i < by_strategy.size(); ++i) {
-    const strategy_stats& st = by_strategy[i];
-    os << "    {\"strategy\": \"" << json_escaped(st.strategy)
-       << "\", \"executed\": " << st.executed
-       << ", \"distinct_buckets\": " << st.distinct_buckets
-       << ", \"new_bucket_timeline\": [";
-    for (std::size_t j = 0; j < st.timeline.size(); ++j) {
-      if (j != 0) os << ", ";
-      os << "[" << st.timeline[j].first << ", " << st.timeline[j].second
-         << "]";
+  os << "]";
+}
+
+}  // namespace
+
+void axis_tally::record(const std::string& bucket, std::uint64_t executed) {
+  for (std::size_t a = 0; a < std::size(coverage_axes); ++a) {
+    row& r = rows_[a][coord_of_bucket(bucket, coverage_axes[a].coord)];
+    ++r.executed;
+    if (r.buckets.insert(bucket).second) {
+      r.timeline.emplace_back(executed, r.buckets.size());
     }
-    os << "]}";
-    os << (i + 1 < by_strategy.size() ? ",\n" : "\n");
   }
-  os << "  ],\n";
-  os << "  \"by_visibility\": [\n";
-  for (std::size_t i = 0; i < by_visibility.size(); ++i) {
-    const strategy_stats& st = by_visibility[i];
-    os << "    {\"visibility\": \"" << json_escaped(st.strategy)
-       << "\", \"executed\": " << st.executed
-       << ", \"distinct_buckets\": " << st.distinct_buckets
-       << ", \"new_bucket_timeline\": [";
-    for (std::size_t j = 0; j < st.timeline.size(); ++j) {
-      if (j != 0) os << ", ";
-      os << "[" << st.timeline[j].first << ", " << st.timeline[j].second
-         << "]";
+}
+
+void axis_tally::add_executed(const coverage_stats& run) {
+  for (std::size_t a = 0; a < std::size(coverage_axes); ++a) {
+    for (const strategy_stats& st : run.*coverage_axes[a].table) {
+      rows_[a][st.strategy].executed += st.executed;
     }
-    os << "]}";
-    os << (i + 1 < by_visibility.size() ? ",\n" : "\n");
   }
-  os << "  ],\n";
+}
+
+void axis_tally::add_bucket(const std::string& bucket) {
+  for (std::size_t a = 0; a < std::size(coverage_axes); ++a) {
+    rows_[a][coord_of_bucket(bucket, coverage_axes[a].coord)].buckets.insert(
+        bucket);
+  }
+}
+
+void axis_tally::fill(coverage_stats& cov) const {
+  for (std::size_t a = 0; a < std::size(coverage_axes); ++a) {
+    std::vector<strategy_stats>& table = cov.*coverage_axes[a].table;
+    table.clear();
+    for (const auto& [name, r] : rows_[a]) {
+      table.push_back({name, r.executed, r.buckets.size(), r.timeline});
+    }
+  }
+}
+
+std::string coverage_stats::to_json(
+    std::uint64_t base_seed, std::uint64_t iterations,
+    const std::vector<worker_report>& workers) const {
+  const bool forked = !workers.empty();
+  std::ostringstream os;
+  os << "{\n";
+  os << "  \"base_seed\": " << base_seed << ",\n";
+  os << "  \"iterations\": " << iterations << ",\n";
+  if (forked) os << "  \"jobs\": " << workers.size() << ",\n";
+  os << "  \"executed\": " << executed << ",\n";
+  os << "  \"distinct_buckets\": " << distinct_buckets << ",\n";
+  os << "  \"steered\": " << (steered ? "true" : "false") << ",\n";
+  os << "  \"new_bucket_timeline\": ";
+  timeline_json(os, timeline);
+  os << ",\n";
+  if (forked) {
+    os << "  \"workers\": [\n";
+    for (std::size_t i = 0; i < workers.size(); ++i) {
+      const worker_report& w = workers[i];
+      os << "    {\"worker\": " << w.worker
+         << ", \"first_iteration\": " << w.first_iteration
+         << ", \"iterations\": " << w.iterations
+         << ", \"executed\": " << w.executed << ", \"replays\": " << w.replays
+         << ", \"new_buckets\": " << w.distinct_buckets
+         << ", \"failed\": " << (w.failed ? "true" : "false")
+         << ", \"lost\": " << (w.lost || w.error ? "true" : "false") << "}";
+      os << (i + 1 < workers.size() ? ",\n" : "\n");
+    }
+    os << "  ],\n";
+  }
+  for (const coverage_axis& axis : coverage_axes) {
+    const std::vector<strategy_stats>& table = this->*axis.table;
+    os << "  \"by_" << axis.label << "\": [\n";
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      const strategy_stats& st = table[i];
+      os << "    {\"" << axis.label << "\": \"" << json_escaped(st.strategy)
+         << "\", \"executed\": " << st.executed
+         << ", \"distinct_buckets\": " << st.distinct_buckets
+         << ", \"new_bucket_timeline\": ";
+      timeline_json(os, st.timeline);
+      os << "}";
+      os << (i + 1 < table.size() ? ",\n" : "\n");
+    }
+    os << "  ],\n";
+  }
   os << "  \"corpus\": [\n";
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     const corpus_entry& e = corpus[i];
     os << "    {\"iteration\": " << e.iteration << ", \"seed\": " << e.seed
-       << ", \"mutated\": " << (e.mutated ? "true" : "false")
-       << ", \"bucket\": \"" << json_escaped(e.bucket) << "\"}";
+       << ", \"mutated\": " << (e.mutated ? "true" : "false");
+    if (forked) {
+      // Slices partition the iteration range, so the slice holding the
+      // discovery iteration names the discovering worker.
+      for (const worker_report& w : workers) {
+        if (e.iteration >= w.first_iteration &&
+            e.iteration - w.first_iteration < w.iterations) {
+          os << ", \"worker\": " << w.worker;
+          break;
+        }
+      }
+    }
+    os << ", \"bucket\": \"" << json_escaped(e.bucket) << "\"}";
     os << (i + 1 < corpus.size() ? ",\n" : "\n");
   }
   os << "  ]\n";
@@ -153,16 +205,7 @@ fuzz_stats run_fuzz(
 
   coverage_map cov;
   std::vector<api::scripted_scenario> corpus;
-  // Per-strategy coverage slices: each strategy's own bucket set and
-  // new-bucket timeline, keyed by strategy name (std::map → name-sorted).
-  struct strategy_accum {
-    std::uint64_t executed = 0;
-    std::set<std::string> buckets;
-    std::vector<std::pair<std::uint64_t, std::size_t>> timeline;
-  };
-  std::map<std::string, strategy_accum> by_strategy;
-  // Same slicing by visibility model (sc/tso/pso) — the per-model table.
-  std::map<std::string, strategy_accum> by_visibility;
+  axis_tally tally;  // the per-strategy and per-visibility tables
 
   // Shared on-disk corpus (multi-worker campaigns / resumed nightlies):
   // dumps we have already seen — our own or ingested — by filename.
@@ -266,21 +309,13 @@ fuzz_stats run_fuzz(
                                          opt.placement_equiv, opt.check_jobs);
     if (failure.empty()) {
       const bucket_signature b = bucket_of(s, primary);
+      const std::string key = b.key();
       if (cov.record(b)) {
         corpus.push_back(s);
-        stats.coverage.corpus.push_back({iter, seed, mutated, b.key()});
+        stats.coverage.corpus.push_back({iter, seed, mutated, key});
         dump_to_corpus(s, iter);
       }
-      strategy_accum& acc = by_strategy[b.sched];
-      ++acc.executed;
-      if (acc.buckets.insert(b.key()).second) {
-        acc.timeline.emplace_back(cov.executed(), acc.buckets.size());
-      }
-      strategy_accum& vacc = by_visibility[b.vis];
-      ++vacc.executed;
-      if (vacc.buckets.insert(b.key()).second) {
-        vacc.timeline.emplace_back(cov.executed(), vacc.buckets.size());
-      }
+      tally.record(key, cov.executed());
       continue;
     }
 
@@ -312,14 +347,7 @@ fuzz_stats run_fuzz(
   stats.coverage.executed = cov.executed();
   stats.coverage.distinct_buckets = cov.distinct();
   stats.coverage.timeline = cov.timeline();
-  for (const auto& [name, acc] : by_strategy) {
-    stats.coverage.by_strategy.push_back(
-        {name, acc.executed, acc.buckets.size(), acc.timeline});
-  }
-  for (const auto& [name, acc] : by_visibility) {
-    stats.coverage.by_visibility.push_back(
-        {name, acc.executed, acc.buckets.size(), acc.timeline});
-  }
+  tally.fill(stats.coverage);
   return stats;
 }
 

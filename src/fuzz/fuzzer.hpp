@@ -14,11 +14,21 @@
 // its scenario is greedily shrunk under the same oracle and reported as
 // seed + original dump + shrunk dump — the artifact CI uploads and
 // `fuzz_main --replay` reproduces.
+//
+// A run's record is its fuzz_stats (coverage_stats is what `coverage.json`
+// serializes) plus the worker_report a campaign supervisor keeps per run.
+// The forked campaign (campaign.hpp) ships exactly these two records
+// through each worker's summary file and merges them with the same per-axis
+// tally run_fuzz builds its tables with, so the inline and forked paths
+// write coverage.json through the one coverage_stats::to_json.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -103,6 +113,22 @@ struct strategy_stats {
   std::vector<std::pair<std::uint64_t, std::size_t>> timeline;
 };
 
+/// One run's outcome as a campaign supervisor sees it: the slice it was
+/// assigned, what it executed, and where its failure artifact landed.
+struct worker_report {
+  int worker = 0;
+  std::uint64_t first_iteration = 0;
+  std::uint64_t iterations = 0;  // slice size assigned
+  std::uint64_t executed = 0;    // iterations actually run
+  std::uint64_t replays = 0;
+  std::size_t distinct_buckets = 0;  // within this worker's slice
+  bool failed = false;  // found a real failure (artifact written)
+  bool error = false;   // infrastructure error (exit 2)
+  bool lost = false;    // died without reporting (signal/OOM) — flagged red
+  std::uint64_t failure_iteration = 0;  // valid when failed
+  std::string failure_artifact;         // path, when failed and writable
+};
+
 /// Campaign-level coverage accounting — what `coverage.json` serializes.
 struct coverage_stats {
   std::uint64_t executed = 0;       // scenarios that ran the full oracle
@@ -118,8 +144,52 @@ struct coverage_stats {
   /// name) — the numbers job_summary's per-visibility-model table reads.
   std::vector<strategy_stats> by_visibility;
 
-  /// Machine-readable summary (the `fuzz_main --coverage-out` payload).
-  std::string to_json(std::uint64_t base_seed, std::uint64_t iterations) const;
+  /// Machine-readable summary (the `fuzz_main --coverage-out` payload). A
+  /// forked campaign passes its worker roll call: the shape then adds
+  /// "jobs" (the number of workers), the "workers" table, and on each corpus
+  /// entry the "worker" whose slice holds the entry's iteration.
+  std::string to_json(std::uint64_t base_seed, std::uint64_t iterations,
+                      const std::vector<worker_report>& workers = {}) const;
+};
+
+/// The axes coverage_stats slices its per-axis tables by: the bucket-key
+/// coordinate each reads, the label its rows carry in coverage.json and in
+/// worker summaries, and the table it fills.
+struct coverage_axis {
+  const char* coord;
+  const char* label;
+  std::vector<strategy_stats> coverage_stats::*table;
+};
+inline constexpr coverage_axis coverage_axes[] = {
+    {"sched", "strategy", &coverage_stats::by_strategy},
+    {"vis", "visibility", &coverage_stats::by_visibility},
+};
+
+/// Builds every per-axis table of a coverage_stats: per axis value, the
+/// executed count, the distinct bucket set and its new-bucket timeline.
+/// run_fuzz records each executed scenario; a forked campaign sums its
+/// workers' executed counts and recounts distinct buckets from the bucket
+/// union (per-slice distinct counts don't sum across workers).
+class axis_tally {
+ public:
+  /// One executed scenario that landed in `bucket` (a full bucket key);
+  /// a bucket new to its axis value samples that value's timeline at the
+  /// campaign clock `executed`.
+  void record(const std::string& bucket, std::uint64_t executed);
+  /// Add a finished run's per-axis executed counts.
+  void add_executed(const coverage_stats& run);
+  /// Count `bucket` as reached under its axis values (no timeline sample).
+  void add_bucket(const std::string& bucket);
+  /// Replace `cov`'s per-axis tables with this tally (name-sorted).
+  void fill(coverage_stats& cov) const;
+
+ private:
+  struct row {
+    std::uint64_t executed = 0;
+    std::set<std::string> buckets;
+    std::vector<std::pair<std::uint64_t, std::size_t>> timeline;
+  };
+  std::map<std::string, row> rows_[std::size(coverage_axes)];
 };
 
 struct fuzz_failure {
@@ -149,10 +219,5 @@ fuzz_stats run_fuzz(
     const fuzz_options& opt,
     const std::function<void(std::uint64_t, std::uint64_t,
                              const std::string&)>& progress = nullptr);
-
-/// One fuzz iteration against one kind; returns the failure message (empty
-/// on success) and bumps `*replays` per scenario replay performed.
-std::string fuzz_one(std::uint64_t seed, const std::string& kind,
-                     const fuzz_options& opt, std::uint64_t* replays);
 
 }  // namespace detect::fuzz

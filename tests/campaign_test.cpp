@@ -3,10 +3,11 @@
 // The load-bearing property: a `--jobs N` campaign partitions the *same*
 // absolute iteration stream the serial campaign walks — every worker derives
 // scenarios from (base_seed, absolute iteration) — so with steering off the
-// merged coverage (bucket union, discovery iterations, per-strategy totals)
-// is exactly the serial campaign's, independent of N. Forking, worker
-// summaries, and the merged coverage JSON are exercised for real here
-// (POSIX fork; the suite runs wherever CI runs the tier-1 lane).
+// merged coverage (bucket union, discovery iterations, per-strategy and
+// per-visibility totals) is exactly the serial campaign's, independent of N.
+// Forking, worker summaries (clean and failing), and the merged coverage
+// JSON are exercised for real here (POSIX fork; the suite runs wherever CI
+// runs the tier-1 lane).
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -17,11 +18,17 @@
 #include <gtest/gtest.h>
 
 #include "fuzz/fuzz.hpp"
+#include "test_util.hpp"
 
 namespace {
 
 using namespace detect;
 namespace fs = std::filesystem;
+
+// Registry kinds as of static init — a later test registers a planted bug,
+// and the clean campaigns must not rotate it into their kind list.
+const std::vector<std::string> g_builtin_kinds =
+    api::object_registry::global().kinds();
 
 TEST(partition, covers_every_iteration_exactly_once) {
   const auto slices = fuzz::partition_iterations(10, 3);
@@ -60,30 +67,6 @@ TEST(partition, contiguous_for_many_shapes) {
   }
 }
 
-TEST(campaign_config, fluent_setters_mirror_executor_builder) {
-  fuzz::campaign_config cfg;
-  cfg.iterations(123)
-      .seed(9)
-      .kinds({"reg", "cas"})
-      .steer(true)
-      .check_jobs(2)
-      .jobs(3)
-      .corpus_dir("corpus-x")
-      .artifact_dir("arts-y")
-      .coverage_out("cov-z.json")
-      .quiet(true);
-  EXPECT_EQ(cfg.options.iterations, 123u);
-  EXPECT_EQ(cfg.options.base_seed, 9u);
-  EXPECT_EQ(cfg.options.kinds, (std::vector<std::string>{"reg", "cas"}));
-  EXPECT_TRUE(cfg.options.steer);
-  EXPECT_EQ(cfg.options.check_jobs, 2);
-  EXPECT_EQ(cfg.jobs(), 3);
-  EXPECT_EQ(cfg.options.corpus_dir, "corpus-x");
-  EXPECT_EQ(cfg.artifact_dir(), "arts-y");
-  EXPECT_EQ(cfg.coverage_out(), "cov-z.json");
-  EXPECT_TRUE(cfg.quiet());
-}
-
 /// Scratch dir for a test, wiped on entry so reruns start clean.
 fs::path scratch_dir(const std::string& name) {
   fs::path dir = fs::temp_directory_path() / ("detect_campaign_" + name);
@@ -92,22 +75,30 @@ fs::path scratch_dir(const std::string& name) {
   return dir;
 }
 
-// A forked 3-worker campaign over 90 iterations must merge to exactly the
-// serial campaign's coverage: same bucket union, same discovery provenance
-// (iteration + seed per bucket), same per-strategy totals, summed executed.
+// A forked 3-worker campaign must merge to exactly the serial campaign's
+// coverage: same bucket union, same discovery provenance (iteration + seed
+// per bucket), same per-strategy and per-visibility totals, summed executed.
+// Both draw from the mixed schedule, persistency and visibility pools, so
+// each per-axis table has several rows to merge.
 TEST(campaign, forked_coverage_merges_to_the_serial_campaign) {
   const fs::path dir = scratch_dir("fork");
 
   fuzz::campaign_config serial;
-  serial.iterations(90).seed(21).quiet(true);
+  serial.options.iterations = 300;
+  serial.options.base_seed = 21;
+  serial.options.kinds = g_builtin_kinds;
+  serial.options.gen.sched_pool = {"round_robin", "uniform_random", "pct"};
+  serial.options.gen.persist_pool = {"strict", "buffered"};
+  serial.options.gen.visibility_pool = {"sc", "tso", "pso"};
+  serial.quiet = true;
   fuzz::campaign_result s = fuzz::run_campaign(serial);
   ASSERT_EQ(s.exit_code, 0);
   ASSERT_FALSE(s.forked);
 
-  fuzz::campaign_config forked;
-  forked.iterations(90).seed(21).jobs(3).quiet(true);
-  forked.artifact_dir((dir / "arts").string())
-      .coverage_out((dir / "cov.json").string());
+  fuzz::campaign_config forked = serial;
+  forked.jobs = 3;
+  forked.artifact_dir = (dir / "arts").string();
+  forked.coverage_out = (dir / "cov.json").string();
   fuzz::campaign_result f = fuzz::run_campaign(forked);
   ASSERT_EQ(f.exit_code, 0);
   ASSERT_TRUE(f.forked);
@@ -121,7 +112,7 @@ TEST(campaign, forked_coverage_merges_to_the_serial_campaign) {
     EXPECT_EQ(w.executed, w.iterations) << "worker " << w.worker;
     executed += w.executed;
   }
-  EXPECT_EQ(executed, 90u);
+  EXPECT_EQ(executed, 300u);
   EXPECT_EQ(f.stats.coverage.executed, s.stats.coverage.executed);
 
   // Bucket union == serial bucket set, with identical discovery provenance.
@@ -136,15 +127,20 @@ TEST(campaign, forked_coverage_merges_to_the_serial_campaign) {
   EXPECT_EQ(f.stats.coverage.distinct_buckets,
             s.stats.coverage.distinct_buckets);
 
-  // Per-strategy executed/distinct recomputed from the union match serial.
-  auto strategy_map = [](const fuzz::coverage_stats& cov) {
+  // Per-axis executed/distinct recomputed from the union match serial.
+  auto table = [](const std::vector<fuzz::strategy_stats>& rows) {
     std::set<std::tuple<std::string, std::uint64_t, std::size_t>> m;
-    for (const fuzz::strategy_stats& st : cov.by_strategy) {
+    for (const fuzz::strategy_stats& st : rows) {
       m.insert({st.strategy, st.executed, st.distinct_buckets});
     }
     return m;
   };
-  EXPECT_EQ(strategy_map(f.stats.coverage), strategy_map(s.stats.coverage));
+  EXPECT_EQ(s.stats.coverage.by_strategy.size(), 3u);
+  EXPECT_EQ(table(f.stats.coverage.by_strategy),
+            table(s.stats.coverage.by_strategy));
+  EXPECT_EQ(s.stats.coverage.by_visibility.size(), 3u);
+  EXPECT_EQ(table(f.stats.coverage.by_visibility),
+            table(s.stats.coverage.by_visibility));
 
   // The artifacts dir holds one complete summary per worker, and the merged
   // JSON carries the campaign-level keys job_summary renders.
@@ -172,6 +168,7 @@ TEST(campaign, disk_corpus_round_trips_and_survives_garbage) {
   fuzz::fuzz_options opt;
   opt.iterations = 40;
   opt.base_seed = 5;
+  opt.kinds = g_builtin_kinds;
   opt.corpus_dir = dir.string();
   fuzz::fuzz_stats first = fuzz::run_fuzz(opt);
   ASSERT_FALSE(first.failure) << first.failure->message;
@@ -194,6 +191,7 @@ TEST(campaign, disk_corpus_round_trips_and_survives_garbage) {
   fuzz::fuzz_options steered;
   steered.iterations = 30;
   steered.base_seed = 6;
+  steered.kinds = g_builtin_kinds;
   steered.steer = true;
   steered.corpus_dir = dir.string();
   steered.worker_index = 1;  // dumps must not collide with worker 0's
@@ -202,10 +200,49 @@ TEST(campaign, disk_corpus_round_trips_and_survives_garbage) {
   EXPECT_EQ(second.coverage.executed, 30u);
 }
 
+// A forked campaign over a planted bug: every worker finds the failure in
+// its own slice, reports it through its summary, and leaves an artifact that
+// reproduces it on its own.
+TEST(campaign, forked_workers_report_failures_with_replayable_artifacts) {
+  test::register_lying_counter_once();
+  const fs::path dir = scratch_dir("fail");
+
+  fuzz::campaign_config cfg;
+  cfg.options.iterations = 40;
+  cfg.options.base_seed = 5;
+  cfg.options.kinds = {"test_lying_counter"};
+  cfg.jobs = 2;
+  cfg.artifact_dir = (dir / "arts").string();
+  cfg.quiet = true;
+  fuzz::campaign_result r = fuzz::run_campaign(cfg);
+  EXPECT_EQ(r.exit_code, 1);
+  ASSERT_TRUE(r.forked);
+  ASSERT_EQ(r.workers.size(), 2u);
+
+  for (const fuzz::worker_report& w : r.workers) {
+    SCOPED_TRACE("worker " + std::to_string(w.worker));
+    EXPECT_TRUE(w.failed);
+    EXPECT_FALSE(w.lost);
+    EXPECT_FALSE(w.error);
+    EXPECT_GE(w.failure_iteration, w.first_iteration);
+    EXPECT_LT(w.failure_iteration, w.first_iteration + w.iterations);
+    ASSERT_TRUE(fs::exists(w.failure_artifact)) << w.failure_artifact;
+    std::ifstream in(w.failure_artifact);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    api::scripted_scenario shrunk = api::parse_scenario(buf.str());
+    EXPECT_FALSE(fuzz::check_scenario(shrunk).empty());
+  }
+}
+
 // jobs > 1 with a single iteration stays inline — nothing to partition.
 TEST(campaign, single_iteration_runs_inline) {
   fuzz::campaign_config cfg;
-  cfg.iterations(1).seed(3).jobs(4).quiet(true);
+  cfg.options.iterations = 1;
+  cfg.options.base_seed = 3;
+  cfg.options.kinds = g_builtin_kinds;
+  cfg.jobs = 4;
+  cfg.quiet = true;
   fuzz::campaign_result r = fuzz::run_campaign(cfg);
   EXPECT_FALSE(r.forked);
   ASSERT_EQ(r.workers.size(), 1u);

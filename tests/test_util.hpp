@@ -9,10 +9,14 @@
 //     possible step index (the deterministic "crash everywhere" battery the
 //     paper's correctness lemmas are exercised with);
 //   * crash_pair_sweep / crash_fuzz: two-crash and randomized batteries.
+//
+// lying_counter is the planted bug the fuzz suites (fuzz_test,
+// campaign_test) must catch, registered as kind "test_lying_counter".
 #pragma once
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -149,6 +153,46 @@ inline hist::recovery_verdict last_verdict(const std::vector<hist::event>& event
     }
   }
   return verdict;
+}
+
+/// A counter whose read responses are off by one — the planted bug the
+/// fuzz suites must catch: crash-free single-process replays against the
+/// real counter diverge.
+struct lying_counter : core::detectable_object {
+  api::created_object inner;
+
+  explicit lying_counter(api::created_object in) : inner(std::move(in)) {}
+
+  hist::value_t invoke(int pid, const hist::op_desc& op) override {
+    hist::value_t v = inner.primary().invoke(pid, op);
+    return op.code == hist::opcode::ctr_read ? v + 1 : v;
+  }
+  core::recovery_result recover(int pid, const hist::op_desc& op) override {
+    return inner.primary().recover(pid, op);
+  }
+  bool wants_aux_reset() const override {
+    return inner.primary().wants_aux_reset();
+  }
+};
+
+/// Register lying_counter as registry kind "test_lying_counter" (idempotent).
+inline void register_lying_counter_once() {
+  auto& reg = api::object_registry::global();
+  if (reg.contains("test_lying_counter")) return;
+  api::kind_info info;
+  info.name = "test_lying_counter";
+  info.family = api::op_family::counter;
+  info.detectable = false;
+  info.make = [](const api::object_env& e, const api::object_params& p) {
+    api::created_object c;
+    c.owned.push_back(std::make_unique<lying_counter>(
+        api::object_registry::global().create("counter", e, p)));
+    return c;
+  };
+  info.make_spec = [](const api::object_params& p) {
+    return api::object_registry::global().make_spec("counter", p);
+  };
+  reg.add(std::move(info));
 }
 
 }  // namespace detect::test
