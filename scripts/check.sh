@@ -24,12 +24,13 @@
 #                                    # coverage.json with the per-strategy
 #                                    # bucket tables
 #   scripts/check.sh --fuzz-wmm N   # the CI memory-model stage: N
-#                                    # visibility-mixed (sc/tso/pso)
-#                                    # iterations — store-buffer drains
-#                                    # scheduled alongside process steps,
-#                                    # composed with mixed persistency;
-#                                    # writes coverage.json with the
-#                                    # per-visibility-model bucket table
+#                                    # coverage-steered visibility-mixed
+#                                    # (sc/tso/pso) iterations — store-buffer
+#                                    # drains scheduled alongside process
+#                                    # steps, composed with mixed
+#                                    # persistency; writes coverage.json
+#                                    # with the per-visibility-model bucket
+#                                    # table
 #   scripts/check.sh --fuzz-deep N [--jobs J]
 #                                    # the nightly deep-fuzz lane: N
 #                                    # coverage-steered multi-object
@@ -200,15 +201,17 @@ case "${1:-}" in
     # Memory-model stage: the generator draws every scenario's store-buffer
     # visibility model from the mixed pool (sc / tso / pso) — non-sc draws
     # also script up to three full-drain points — composed with mixed
-    # persistency, so relaxed-visibility runs face the full oracle. The
+    # persistency, so relaxed-visibility runs face the full oracle.
+    # Coverage-steered, so mutate() (and, on a failure, the shrinker's
+    # contract rule) runs on every push, not only in the nightly lane. The
     # coverage.json carries the per-visibility-model bucket counts the job
     # summary renders.
     iters="${2:-500}"
     dir="${DETECT_BUILD_DIR:-build-$build_type}"
-    echo "== fuzz-wmm: $iters visibility-mixed iterations ($dir) =="
+    echo "== fuzz-wmm: $iters coverage-steered visibility-mixed iterations ($dir) =="
     stage_build "$dir" "$build_type"
     stage_fuzz "$dir" "$iters" --visibility mixed --persist mixed \
-      --coverage-out "${DETECT_COVERAGE_OUT:-coverage.json}"
+      --coverage --coverage-out "${DETECT_COVERAGE_OUT:-coverage.json}"
     ;;
   --fuzz-deep)
     # The nightly deep-fuzz lane (also runnable locally): coverage-steered

@@ -218,10 +218,11 @@ class sharded_executor final : public executor {
     // program (the per-world durable program counters resume after the
     // already-executed prefix). A pid with no ops on a shard gets no client
     // task there. A pid whose whole program is empty still gets an (empty)
-    // client task on shard 0, exactly as the single backend submits one —
-    // without it the worlds' task sets differ and single-vs-sharded
-    // equivalence breaks on shrinker-produced scenarios with emptied
-    // scripts.
+    // client task on every shard, exactly as the single backend submits one
+    // in its one world — without it the world hosting the scenario's
+    // objects runs a different task set, its seeded scheduler picks
+    // differently, and single-vs-sharded equivalence breaks on
+    // shrinker-produced scenarios with emptied scripts.
     for (auto& [pid, ops] : pending_) {
       for (const hist::op_desc& d : ops) {
         installed_[static_cast<std::size_t>(shard_of(d.object))][pid]
@@ -238,7 +239,9 @@ class sharded_executor final : public executor {
           scripted = true;
         }
       }
-      if (!scripted) shards_[0]->script(pid, {});
+      if (!scripted) {
+        for (auto& shard : shards_) shard->script(pid, {});
+      }
     }
 
     // Worlds are self-contained (own processes, own NVM domain, thread-local

@@ -5,6 +5,8 @@
 #include <optional>
 #include <sstream>
 
+#include "fuzz/scenario_gen.hpp"
+
 namespace detect::fuzz {
 
 namespace {
@@ -84,11 +86,11 @@ diff_report compare_replays(const api::scripted_scenario& base,
   for (std::size_t i = 0; i < ra.size(); ++i) {
     if (ra[i] != rb[i]) {
       std::ostringstream os;
-      os << "response " << i << " diverges: " << a_name << " "
-         << hist::opcode_name(std::get<1>(ra[i])) << " -> "
-         << std::get<2>(ra[i]) << " vs " << b_name << " "
-         << hist::opcode_name(std::get<1>(rb[i])) << " -> "
-         << std::get<2>(rb[i]);
+      os << "response " << i << " diverges: " << a_name << " p"
+         << std::get<0>(ra[i]) << " " << hist::opcode_name(std::get<1>(ra[i]))
+         << " -> " << std::get<2>(ra[i]) << " vs " << b_name << " p"
+         << std::get<0>(rb[i]) << " " << hist::opcode_name(std::get<1>(rb[i]))
+         << " -> " << std::get<2>(rb[i]);
       return fail(os.str());
     }
   }
@@ -114,14 +116,6 @@ std::vector<std::string> variants_of(const std::string& kind) {
 
 namespace {
 
-bool all_objects_detectable(const api::scripted_scenario& s) {
-  const api::object_registry& reg = api::object_registry::global();
-  for (const api::scenario_object& o : s.objects) {
-    if (reg.contains(o.kind) && !reg.at(o.kind).detectable) return false;
-  }
-  return true;
-}
-
 /// True when substituting object `index`'s kind with `variant_kind` can be
 /// compared with the crash plan intact; false when the comparison must run
 /// crash-free (variant or any declared object non-detectable). Validates
@@ -136,7 +130,7 @@ bool crashes_comparable(const api::scripted_scenario& s, std::size_t index,
                                 s.objects[index].kind + "' and '" +
                                 variant_kind + "'");
   }
-  return variant_info.detectable && all_objects_detectable(s);
+  return variant_info.detectable && all_detectable(s);
 }
 
 api::scripted_scenario crash_free(api::scripted_scenario s) {

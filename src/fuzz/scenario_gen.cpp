@@ -48,85 +48,144 @@ bool pool_enabled(const std::vector<std::string>& pool, const char* dflt) {
   return !pool.empty() && (pool.size() > 1 || pool[0] != dflt);
 }
 
-/// Step horizon pct preemption points are drawn over: roughly the scenario's
-/// expected run length (announce + op body per scripted op).
+/// Step horizon pct preemption points and drain points are drawn over:
+/// roughly the scenario's expected run length (announce + op body per
+/// scripted op).
 std::uint64_t pct_horizon(const api::scripted_scenario& s) {
   return 24 + 12 * static_cast<std::uint64_t>(s.total_ops());
 }
 
-/// Draw a pct budget in [1, pct_depth] and that many preemption points from
-/// the shared stream.
-sched::sched_policy draw_pct_policy(std::uint64_t& rng,
-                                    const api::scripted_scenario& s,
-                                    const gen_config& cfg) {
-  sched::sched_policy p;
-  p.strat = sched::strategy::pct;
-  const std::uint64_t depth =
-      pick(rng, 1, static_cast<std::uint64_t>(std::max(1, cfg.pct_depth)));
-  const std::uint64_t horizon = pct_horizon(s);
-  for (std::uint64_t i = 0; i < depth; ++i) {
-    p.pct_points.push_back(1 + next_rand(rng) % horizon);
-  }
-  std::sort(p.pct_points.begin(), p.pct_points.end());
-  p.pct_points.erase(
-      std::unique(p.pct_points.begin(), p.pct_points.end()),
-      p.pct_points.end());
-  return p;
+void sort_unique(std::vector<std::uint64_t>& points) {
+  std::sort(points.begin(), points.end());
+  points.erase(std::unique(points.begin(), points.end()), points.end());
 }
 
-/// Draw one strategy from the pool (after the scripts, so pct horizons see
-/// the final op count).
-sched::sched_policy draw_sched_policy(std::uint64_t& rng,
-                                      const api::scripted_scenario& s,
-                                      const gen_config& cfg) {
-  const std::string& name =
-      cfg.sched_pool[next_rand(rng) % cfg.sched_pool.size()];
-  std::optional<sched::strategy> strat = sched::strategy_from_name(name);
-  if (!strat) {
-    throw std::invalid_argument("scenario_gen: unknown schedule strategy '" +
-                                name + "' in sched_pool");
-  }
-  if (*strat == sched::strategy::pct) return draw_pct_policy(rng, s, cfg);
-  sched::sched_policy p;
-  p.strat = *strat;
-  return p;
-}
-
-nvm::persist_model draw_persist_model(std::uint64_t& rng,
-                                      const gen_config& cfg) {
-  const std::string& name =
-      cfg.persist_pool[next_rand(rng) % cfg.persist_pool.size()];
-  nvm::persist_model m = nvm::persist_model::strict;
-  if (!nvm::persist_from_name(name, m)) {
-    throw std::invalid_argument("scenario_gen: unknown persist model '" +
-                                name + "' in persist_pool");
-  }
-  return m;
-}
-
-wmm::visibility_model draw_visibility_model(std::uint64_t& rng,
-                                            const gen_config& cfg) {
-  const std::string& name =
-      cfg.visibility_pool[next_rand(rng) % cfg.visibility_pool.size()];
-  wmm::visibility_model m = wmm::visibility_model::sc;
-  if (!wmm::visibility_from_name(name, m)) {
-    throw std::invalid_argument("scenario_gen: unknown visibility model '" +
-                                name + "' in visibility_pool");
-  }
-  return m;
-}
-
-/// Draw a small scripted full-drain plan (0–3 points) over the scenario's
-/// step horizon. Only called for tso/pso scenarios; under sc the plan stays
-/// empty (enforce_contracts clears strays).
-void draw_drain_points(std::uint64_t& rng, api::scripted_scenario& s) {
-  const std::uint64_t n = pick(rng, 0, 3);
+/// A point set (pct preemptions, scripted drains): a count in [lo, hi], then
+/// that many steps in [1, horizon], sorted and deduplicated.
+std::vector<std::uint64_t> draw_points(std::uint64_t& rng, std::uint64_t lo,
+                                       std::uint64_t hi,
+                                       std::uint64_t horizon) {
+  std::vector<std::uint64_t> points;
+  const std::uint64_t n = pick(rng, lo, hi);
   for (std::uint64_t i = 0; i < n; ++i) {
-    s.drain_steps.push_back(1 + next_rand(rng) % pct_horizon(s));
+    points.push_back(1 + next_rand(rng) % horizon);
   }
-  std::sort(s.drain_steps.begin(), s.drain_steps.end());
-  s.drain_steps.erase(std::unique(s.drain_steps.begin(), s.drain_steps.end()),
-                      s.drain_steps.end());
+  sort_unique(points);
+  return points;
+}
+
+/// Add a point in [1, horizon] or drop one (always add to an empty set).
+void perturb_points(std::uint64_t& rng, std::vector<std::uint64_t>& points,
+                    std::uint64_t horizon) {
+  if (points.empty() || next_rand(rng) % 2 == 0) {
+    points.push_back(1 + next_rand(rng) % horizon);
+    sort_unique(points);
+  } else {
+    points.erase(points.begin() +
+                 static_cast<long>(next_rand(rng) % points.size()));
+  }
+}
+
+/// A knob count with floor `lo` and ceiling `hi` (hi > 1): drawn from
+/// [lo, hi] when the floor is above 1; otherwise a coin keeps about half of
+/// the draws at 1 and the rest draw from [2, hi].
+int draw_count(std::uint64_t& rng, int lo, int hi) {
+  lo = std::max(1, lo);
+  hi = std::max(lo, hi);
+  if (lo > 1) {
+    return static_cast<int>(pick(rng, static_cast<std::uint64_t>(lo),
+                                 static_cast<std::uint64_t>(hi)));
+  }
+  if (next_rand(rng) % 2 == 0) {
+    return static_cast<int>(pick(rng, 2, static_cast<std::uint64_t>(hi)));
+  }
+  return 1;
+}
+
+/// One uniform draw from a name pool.
+const std::string& pool_entry(std::uint64_t& rng,
+                              const std::vector<std::string>& pool) {
+  return pool[next_rand(rng) % pool.size()];
+}
+
+/// One uniform draw from a name pool, parsed by `parse(name, out)`; unknown
+/// names throw, naming the pool.
+template <class T, class Parse>
+T pool_pick(std::uint64_t& rng, const std::vector<std::string>& pool,
+            const char* pool_name, Parse parse) {
+  const std::string& name = pool_entry(rng, pool);
+  T out{};
+  if (!parse(name, out)) {
+    throw std::invalid_argument("scenario_gen: unknown entry '" + name +
+                                "' in " + pool_name);
+  }
+  return out;
+}
+
+/// Draw the schedule from the pool (after the scripts, so pct horizons see
+/// the final op count); pct also draws a budget in [1, pct_depth] and that
+/// many preemption points.
+void draw_schedule(std::uint64_t& rng, api::scripted_scenario& s,
+                   const gen_config& cfg) {
+  s.sched = {pool_pick<sched::strategy>(
+                 rng, cfg.sched_pool, "sched_pool",
+                 [](const std::string& name, sched::strategy& out) {
+                   std::optional<sched::strategy> st =
+                       sched::strategy_from_name(name);
+                   if (st) out = *st;
+                   return st.has_value();
+                 }),
+             {}};
+  if (s.sched.strat == sched::strategy::pct) {
+    s.sched.pct_points = draw_points(
+        rng, 1, static_cast<std::uint64_t>(std::max(1, cfg.pct_depth)),
+        pct_horizon(s));
+  }
+}
+
+/// Draw the visibility model from the pool; a tso/pso draw also draws a small
+/// scripted full-drain plan (0–3 points), an sc draw has none.
+void draw_visibility(std::uint64_t& rng, api::scripted_scenario& s,
+                     const gen_config& cfg) {
+  s.visibility = pool_pick<wmm::visibility_model>(
+      rng, cfg.visibility_pool, "visibility_pool", wmm::visibility_from_name);
+  s.drain_steps.clear();
+  if (s.visibility != wmm::visibility_model::sc) {
+    s.drain_steps = draw_points(rng, 0, 3, pct_horizon(s));
+  }
+}
+
+/// A placement policy for `s`: `forced` names the kind, or (empty) the kind is
+/// drawn uniformly; pinned draws one pin per declared object.
+api::placement_policy draw_placement(std::uint64_t& rng,
+                                     const api::scripted_scenario& s,
+                                     const std::string& forced) {
+  api::placement_policy p;
+  if (!forced.empty()) {
+    p.kind = api::placement_from_name(forced);
+  } else {
+    switch (next_rand(rng) % 4) {
+      case 0: p.kind = api::placement_kind::modulo; break;
+      case 1: p.kind = api::placement_kind::hash; break;
+      case 2: p.kind = api::placement_kind::range; break;
+      default: p.kind = api::placement_kind::pinned; break;
+    }
+  }
+  if (p.kind == api::placement_kind::pinned) {
+    for (const api::scenario_object& o : s.objects) {
+      p.pins[o.id] = static_cast<int>(next_rand(rng) %
+                                      static_cast<std::uint64_t>(s.shards));
+    }
+  }
+  return p;
+}
+
+/// One migration step: a declared object, then its target shard.
+std::pair<std::uint32_t, int> draw_move(std::uint64_t& rng,
+                                        const api::scripted_scenario& s) {
+  const std::uint32_t id = s.objects[next_rand(rng) % s.objects.size()].id;
+  return {id, static_cast<int>(next_rand(rng) %
+                               static_cast<std::uint64_t>(s.shards))};
 }
 
 }  // namespace
@@ -176,26 +235,31 @@ hist::op_desc random_op(std::uint64_t& rng, api::op_family family, int pid,
   return d;
 }
 
+bool all_detectable(const api::scripted_scenario& s) {
+  const api::object_registry& reg = api::object_registry::global();
+  for (const api::scenario_object& o : s.objects) {
+    if (reg.contains(o.kind) && !reg.at(o.kind).detectable) return false;
+  }
+  return true;
+}
+
 void enforce_contracts(api::scripted_scenario& s) {
   const api::object_registry& reg = api::object_registry::global();
   // Drain points only mean something when there are store buffers to drain;
   // under sc a mutation that flipped visibility back must not leave a stale
   // plan behind (the v6 dump would suggest semantics the run does not have).
   if (s.visibility == wmm::visibility_model::sc) s.drain_steps.clear();
-  bool all_detectable = true;
   bool any_lock = false;
   std::map<std::uint32_t, api::op_family> families;
   for (const api::scenario_object& o : s.objects) {
     if (!reg.contains(o.kind)) continue;  // custom kind: nothing to enforce
-    const api::kind_info& info = reg.at(o.kind);
-    families[o.id] = info.family;
-    all_detectable = all_detectable && info.detectable;
-    any_lock = any_lock || info.family == api::op_family::lock;
+    families[o.id] = reg.at(o.kind).family;
+    any_lock = any_lock || families[o.id] == api::op_family::lock;
   }
   // Crash batteries are only meaningful when every object honors the
   // detectability contract; one plain_*/stripped_* object makes the whole
   // history uncheckable under crashes.
-  if (!all_detectable) {
+  if (!all_detectable(s)) {
     s.crash_steps.clear();
     if (s.policy == core::runtime::fail_policy::retry) {
       s.policy = core::runtime::fail_policy::skip;
@@ -214,13 +278,14 @@ void enforce_contracts(api::scripted_scenario& s) {
              s.find_object(m.first) == nullptr;
     });
   }
-  // Placement only means something with a shard knob; mutations that shrink
-  // the shard count (or drop objects) must not leave pins pointing at
-  // worlds or declarations that no longer exist — replay would reject the
-  // policy at build time.
+  // Placement, migrations and the sharded backend only mean something with
+  // a shard knob; mutations that shrink the shard count (or drop objects)
+  // must not leave pins pointing at worlds or declarations that no longer
+  // exist — replay would reject the policy at build time.
   if (s.shards <= 1) {
     s.placement = {};
     s.migrations.clear();
+    s.backend = api::exec_backend::single;
   } else if (s.placement.kind == api::placement_kind::pinned) {
     std::erase_if(s.placement.pins,
                   [&s](const std::pair<const std::uint32_t, int>& pin) {
@@ -285,27 +350,13 @@ api::scripted_scenario generate(std::uint64_t seed, const std::string& kind,
   // routing, so contiguous ids spread objects across shards).
   s.objects.push_back({0, kind, {}});
   if (!cfg.object_kind_pool.empty() && cfg.max_objects > 1) {
-    const int lo = std::max(1, cfg.min_objects);
-    const int hi = std::max(lo, cfg.max_objects);
-    int n = 1;
-    if (lo > 1) {
-      n = static_cast<int>(pick(rng, static_cast<std::uint64_t>(lo),
-                                static_cast<std::uint64_t>(hi)));
-    } else if (next_rand(rng) % 2 == 0) {
-      n = static_cast<int>(pick(rng, 2, static_cast<std::uint64_t>(hi)));
-    }
+    const int n = draw_count(rng, cfg.min_objects, cfg.max_objects);
     for (std::uint32_t i = 1; i < static_cast<std::uint32_t>(n); ++i) {
-      const std::string& extra =
-          cfg.object_kind_pool[next_rand(rng) % cfg.object_kind_pool.size()];
-      s.objects.push_back({i, extra, {}});
+      s.objects.push_back({i, pool_entry(rng, cfg.object_kind_pool), {}});
     }
   }
-  bool all_detectable = true;
-  for (const api::scenario_object& o : s.objects) {
-    all_detectable = all_detectable && reg.at(o.kind).detectable;
-  }
-
-  const bool with_crashes = cfg.crashes && all_detectable;
+  const bool detectable = all_detectable(s);
+  const bool with_crashes = cfg.crashes && detectable;
   if (with_crashes && cfg.max_crashes > 0) {
     std::uint64_t n = pick(rng, 0, static_cast<std::uint64_t>(cfg.max_crashes));
     for (std::uint64_t c = 0; c < n; ++c) {
@@ -315,7 +366,7 @@ api::scripted_scenario generate(std::uint64_t seed, const std::string& kind,
   }
   // retry re-attempts recovery-failed ops — only meaningful when recovery
   // verdicts are trustworthy, i.e. for detectable kinds.
-  if (all_detectable && next_rand(rng) % 4 == 0) {
+  if (detectable && next_rand(rng) % 4 == 0) {
     s.policy = core::runtime::fail_policy::retry;
   }
   if (next_rand(rng) % 4 == 0) {
@@ -327,16 +378,7 @@ api::scripted_scenario generate(std::uint64_t seed, const std::string& kind,
   // directly, exercising the cross-shard routing and merged-log paths as the
   // scenario's own execution.
   if (cfg.max_shards > 1) {
-    const int lo = std::max(1, cfg.min_shards);
-    const int hi = std::max(lo, cfg.max_shards);
-    if (lo > 1) {
-      s.shards = static_cast<int>(
-          pick(rng, static_cast<std::uint64_t>(lo),
-               static_cast<std::uint64_t>(hi)));
-    } else if (next_rand(rng) % 2 == 0) {
-      s.shards = static_cast<int>(
-          pick(rng, 2, static_cast<std::uint64_t>(hi)));
-    }
+    s.shards = draw_count(rng, cfg.min_shards, cfg.max_shards);
     if (cfg.allow_sharded_backend && s.shards > 1 && next_rand(rng) % 4 == 0) {
       s.backend = api::exec_backend::sharded;
     }
@@ -347,24 +389,7 @@ api::scripted_scenario generate(std::uint64_t seed, const std::string& kind,
   // exercised. Drawn (or pinned via cfg.placement) only when the scenario
   // has a shard knob at all; the draws stay in the shared xorshift stream.
   if (s.shards > 1 && cfg.placement != "none") {
-    api::placement_kind kind = api::placement_kind::modulo;
-    if (cfg.placement.empty()) {
-      switch (next_rand(rng) % 4) {
-        case 0: kind = api::placement_kind::modulo; break;
-        case 1: kind = api::placement_kind::hash; break;
-        case 2: kind = api::placement_kind::range; break;
-        default: kind = api::placement_kind::pinned; break;
-      }
-    } else {
-      kind = api::placement_from_name(cfg.placement);
-    }
-    s.placement.kind = kind;
-    if (kind == api::placement_kind::pinned) {
-      for (const api::scenario_object& o : s.objects) {
-        s.placement.pins[o.id] = static_cast<int>(
-            next_rand(rng) % static_cast<std::uint64_t>(s.shards));
-      }
-    }
+    s.placement = draw_placement(rng, s, cfg.placement);
   }
   // Migration knob: crash-free sharded-backend scenarios run their scripts
   // twice with a live object migration in between (enforce_contracts drops
@@ -373,12 +398,7 @@ api::scripted_scenario generate(std::uint64_t seed, const std::string& kind,
       s.shards > 1 && s.crash_steps.empty() && next_rand(rng) % 4 == 0) {
     const std::uint64_t moves = pick(rng, 1, 2);
     for (std::uint64_t m = 0; m < moves; ++m) {
-      const api::scenario_object& target =
-          s.objects[next_rand(rng) % s.objects.size()];
-      s.migrations.emplace_back(
-          target.id,
-          static_cast<int>(next_rand(rng) %
-                           static_cast<std::uint64_t>(s.shards)));
+      s.migrations.push_back(draw_move(rng, s));
     }
   }
 
@@ -413,15 +433,13 @@ api::scripted_scenario generate(std::uint64_t seed, const std::string& kind,
   // count) and only when the pools are opted in — default pools draw
   // nothing, so historical (seed, kind) scenarios stay byte-identical.
   if (pool_enabled(cfg.sched_pool, "uniform_random")) {
-    s.sched = draw_sched_policy(rng, s, cfg);
+    draw_schedule(rng, s, cfg);
   }
   if (pool_enabled(cfg.persist_pool, "strict")) {
-    s.persist = draw_persist_model(rng, cfg);
+    s.persist = pool_pick<nvm::persist_model>(
+        rng, cfg.persist_pool, "persist_pool", nvm::persist_from_name);
   }
-  if (pool_enabled(cfg.visibility_pool, "sc")) {
-    s.visibility = draw_visibility_model(rng, cfg);
-    if (s.visibility != wmm::visibility_model::sc) draw_drain_points(rng, s);
-  }
+  if (pool_enabled(cfg.visibility_pool, "sc")) draw_visibility(rng, s, cfg);
   enforce_contracts(s);
   return s;
 }
@@ -451,21 +469,13 @@ api::scripted_scenario mutate(const api::scripted_scenario& base,
       const std::uint64_t vis_at = persist_at + (persist_on ? 1 : 0);
       if (sched_on && extra == 0) {
         // Re-draw the whole schedule policy from the pool.
-        s.sched = draw_sched_policy(rng, s, cfg);
+        draw_schedule(rng, s, cfg);
       } else if (sched_on && extra == 1) {
         // Perturb a pct budget: add a point or drop one.
         if (s.sched.strat != sched::strategy::pct) {
           applied = false;
-        } else if (s.sched.pct_points.empty() || next_rand(rng) % 2 == 0) {
-          s.sched.pct_points.push_back(1 + next_rand(rng) % pct_horizon(s));
-          std::sort(s.sched.pct_points.begin(), s.sched.pct_points.end());
-          s.sched.pct_points.erase(std::unique(s.sched.pct_points.begin(),
-                                               s.sched.pct_points.end()),
-                                   s.sched.pct_points.end());
         } else {
-          s.sched.pct_points.erase(
-              s.sched.pct_points.begin() +
-              static_cast<long>(next_rand(rng) % s.sched.pct_points.size()));
+          perturb_points(rng, s.sched.pct_points, pct_horizon(s));
         }
       } else if (persist_on && extra == persist_at) {
         // persist flip
@@ -473,28 +483,15 @@ api::scripted_scenario mutate(const api::scripted_scenario& base,
                         ? nvm::persist_model::buffered
                         : nvm::persist_model::strict;
       } else if (vis_on && extra == vis_at) {
-        // Re-draw visibility (with a fresh drain plan for a non-sc draw;
-        // enforce_contracts clears the plan when the draw lands on sc).
-        s.visibility = draw_visibility_model(rng, cfg);
-        s.drain_steps.clear();
-        if (s.visibility != wmm::visibility_model::sc) {
-          draw_drain_points(rng, s);
-        }
+        // Re-draw visibility (with a fresh drain plan for a non-sc draw).
+        draw_visibility(rng, s, cfg);
       } else {
         // Perturb the drain plan: add a point or drop one. Only meaningful
         // with live store buffers.
         if (s.visibility == wmm::visibility_model::sc) {
           applied = false;
-        } else if (s.drain_steps.empty() || next_rand(rng) % 2 == 0) {
-          s.drain_steps.push_back(1 + next_rand(rng) % pct_horizon(s));
-          std::sort(s.drain_steps.begin(), s.drain_steps.end());
-          s.drain_steps.erase(
-              std::unique(s.drain_steps.begin(), s.drain_steps.end()),
-              s.drain_steps.end());
         } else {
-          s.drain_steps.erase(
-              s.drain_steps.begin() +
-              static_cast<long>(next_rand(rng) % s.drain_steps.size()));
+          perturb_points(rng, s.drain_steps, pct_horizon(s));
         }
       }
       if (applied) break;
@@ -512,9 +509,6 @@ api::scripted_scenario mutate(const api::scripted_scenario& base,
         s.shards = static_cast<int>(
             pick(rng, static_cast<std::uint64_t>(lo),
                  static_cast<std::uint64_t>(hi)));
-        if (s.backend == api::exec_backend::sharded && s.shards < 2) {
-          s.backend = api::exec_backend::single;
-        }
         break;
       }
       case 2:  // backend flip
@@ -566,8 +560,7 @@ api::scripted_scenario mutate(const api::scripted_scenario& base,
           applied = false;
           break;
         }
-        const std::string& kind =
-            cfg.object_kind_pool[next_rand(rng) % cfg.object_kind_pool.size()];
+        const std::string& kind = pool_entry(rng, cfg.object_kind_pool);
         std::uint32_t id = s.add_object(kind);
         if (auto* entry = script_at(s, next_rand(rng))) {
           const api::op_family family =
@@ -631,20 +624,7 @@ api::scripted_scenario mutate(const api::scripted_scenario& base,
           applied = false;
           break;
         }
-        api::placement_policy next;
-        switch (next_rand(rng) % 4) {
-          case 0: next.kind = api::placement_kind::modulo; break;
-          case 1: next.kind = api::placement_kind::hash; break;
-          case 2: next.kind = api::placement_kind::range; break;
-          default: {
-            next.kind = api::placement_kind::pinned;
-            for (const api::scenario_object& o : s.objects) {
-              next.pins[o.id] = static_cast<int>(
-                  next_rand(rng) % static_cast<std::uint64_t>(s.shards));
-            }
-            break;
-          }
-        }
+        api::placement_policy next = draw_placement(rng, s, "");
         if (next == s.placement) {
           applied = false;
           break;
@@ -657,12 +637,7 @@ api::scripted_scenario mutate(const api::scripted_scenario& base,
                              s.shards > 1 && s.crash_steps.empty() &&
                              s.migrations.size() < 3 && !s.objects.empty();
         if (can_add && (s.migrations.empty() || next_rand(rng) % 2 == 0)) {
-          const api::scenario_object& target =
-              s.objects[next_rand(rng) % s.objects.size()];
-          s.migrations.emplace_back(
-              target.id,
-              static_cast<int>(next_rand(rng) %
-                               static_cast<std::uint64_t>(s.shards)));
+          s.migrations.push_back(draw_move(rng, s));
         } else if (!s.migrations.empty()) {
           s.migrations.erase(
               s.migrations.begin() +

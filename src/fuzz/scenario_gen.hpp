@@ -18,11 +18,17 @@
 // possibly holding (rlock.hpp), so lock scripts alternate try/release per
 // (process, object) and crashy lock scenarios use fail_policy::retry.
 //
+// `enforce_contracts()` is the one statement of those usage contracts.
+// `generate()` ends with it, `mutate()` repairs every mutant with it, and
+// the shrinker keeps only candidates it leaves unchanged. `generate()`'s
+// draw-time gating (no crash draw for a non-detectable scenario, lock
+// scripts drawn alternating) only keeps the rng stream; it states no rule
+// of its own.
+//
 // `mutate()` is the coverage-steered campaign's other generation mode: a
 // structural edit of an existing (corpus) scenario — flip a knob, add or
-// drop an object, retarget or rewrite an op — followed by a contract-repair
-// pass, so mutants stay inside the same usage contracts `generate()`
-// enforces.
+// drop an object, retarget or rewrite an op — followed by the
+// contract-repair pass.
 #pragma once
 
 #include <cstdint>
@@ -118,14 +124,22 @@ api::scripted_scenario generate(std::uint64_t seed, const std::string& kind,
 api::scripted_scenario mutate(const api::scripted_scenario& base,
                               std::uint64_t& rng, const gen_config& cfg);
 
-/// Contract-repair pass shared by generate() and mutate(): clears the crash
-/// plan when any object is non-detectable, forces fail_policy::retry on
-/// crashy lock scenarios, repairs per-(process, object) try/release
-/// alternation, de-degenerates Cas(x, x) ops, drops migration plans from
-/// crashy scenarios (and ones that no longer fit the shard count), and
-/// balances lock scripts (ending not-holding) when a migration plan makes
-/// the scripts run twice.
+/// The scenario usage contracts, written once as a repair pass: clears the
+/// drain plan under sc, clears the crash plan (and retry) when any object is
+/// non-detectable, forces fail_policy::retry on crashy lock scenarios,
+/// repairs per-(process, object) try/release alternation and lock-op pids,
+/// de-degenerates Cas(x, x) ops, drops migration plans from crashy scenarios
+/// (and moves that no longer fit the shard count or declarations), resets
+/// placement, migrations and the backend (to single) when shards <= 1,
+/// drops stale pins, and balances lock scripts (ending not-holding) when a
+/// migration plan makes the scripts run twice. Idempotent. generate() and
+/// mutate() end with it; a scenario it leaves unchanged is canonical, the
+/// only kind the shrinker keeps.
 void enforce_contracts(api::scripted_scenario& s);
+
+/// True unless some declared registry kind is non-detectable (custom kinds
+/// the registry does not know count as detectable).
+bool all_detectable(const api::scripted_scenario& s);
 
 /// The seed of iteration `iter` in a fuzz campaign starting at `base_seed`
 /// (splitmix64 step — decorrelates consecutive iterations).

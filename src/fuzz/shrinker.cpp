@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "fuzz/scenario_gen.hpp"
+
 namespace detect::fuzz {
 
 namespace {
@@ -45,67 +47,15 @@ std::vector<int> pids_of(const api::scripted_scenario& s) {
   return pids;
 }
 
-/// The usage contracts the generator enforces (scenario_gen.cpp) must
-/// survive shrinking, or a candidate can "fail" for the contract violation
-/// instead of the original defect and the minimized artifact blames a
-/// non-bug. Checked per declared object on every candidate before the fail
-/// predicate runs.
+/// The usage contracts must survive shrinking, or a candidate can "fail"
+/// for the contract violation instead of the original defect and the
+/// minimized artifact blames a non-bug. enforce_contracts is their one
+/// statement: a candidate respects them when the repair pass leaves it
+/// unchanged (dumps round-trip exactly, so equal dumps are equal scenarios).
 bool respects_contracts(const api::scripted_scenario& s) {
-  const api::object_registry& reg = api::object_registry::global();
-  // Drain plans only mean something with live store buffers; an sc
-  // candidate carrying one is non-canonical (enforce_contracts clears it).
-  if (s.visibility == wmm::visibility_model::sc && !s.drain_steps.empty()) {
-    return false;
-  }
-  bool any_lock = false;
-  for (const api::scenario_object& o : s.objects) {
-    if (!reg.contains(o.kind)) continue;  // custom kind: nothing to check
-    any_lock = any_lock ||
-               reg.at(o.kind).family == api::op_family::lock;
-  }
-  // Crashy lock scenarios must retry (a crash-skipped release leaves
-  // holding-state uncertain) ...
-  if (any_lock && !s.crash_steps.empty() &&
-      s.policy != core::runtime::fail_policy::retry) {
-    return false;
-  }
-  // Migration plans and crash plans do not mix (enforce_contracts never
-  // generates the combination; a shrink candidate must not reintroduce it),
-  // and a migration plan must name declared objects on in-range shards.
-  if (!s.migrations.empty()) {
-    if (!s.crash_steps.empty()) return false;
-    for (const auto& [id, shard] : s.migrations) {
-      if (s.find_object(id) == nullptr || shard < 0 ||
-          shard >= std::max(1, s.shards)) {
-        return false;
-      }
-    }
-  }
-  for (const auto& [pid, ops] : s.scripts) {
-    // ... and no process may re-invoke try_lock on an object it may still
-    // hold (tracked per lock object).
-    std::map<std::uint32_t, bool> may_hold;
-    for (const hist::op_desc& d : ops) {
-      if (d.code == hist::opcode::lock_try) {
-        if (may_hold[d.object]) return false;
-        may_hold[d.object] = true;
-      } else if (d.code == hist::opcode::lock_release) {
-        may_hold[d.object] = false;
-      } else if (d.code == hist::opcode::cas && d.a == d.b) {
-        // Algorithm 2's failed-CAS linearization needs old != new.
-        return false;
-      }
-    }
-    // A migration plan replays the scripts a second time, so every lock
-    // script must end not-holding (else round two re-invokes try_lock while
-    // possibly held).
-    if (!s.migrations.empty()) {
-      for (const auto& [object, held] : may_hold) {
-        if (held) return false;
-      }
-    }
-  }
-  return true;
+  api::scripted_scenario repaired = s;
+  enforce_contracts(repaired);
+  return api::dump(repaired) == api::dump(s);
 }
 
 }  // namespace
@@ -177,8 +127,8 @@ api::scripted_scenario shrink(api::scripted_scenario s,
       }
     }
 
-    // 1b. Whole objects, last declared first: drop the object and every op
-    // targeting it (a scenario must keep at least one object).
+    // 1b. Whole objects, last declared first: drop the object, its pin and
+    // every op targeting it (a scenario must keep at least one object).
     for (int i = static_cast<int>(s.objects.size()) - 1; i >= 0; --i) {
       progress |= try_edit(s, fails, [i](api::scripted_scenario& c) {
         if (c.objects.size() <= 1 ||
@@ -187,6 +137,7 @@ api::scripted_scenario shrink(api::scripted_scenario s,
         }
         const std::uint32_t id = c.objects[static_cast<std::size_t>(i)].id;
         c.objects.erase(c.objects.begin() + i);
+        c.placement.pins.erase(id);
         for (auto& [pid, ops] : c.scripts) {
           std::erase_if(ops, [id](const hist::op_desc& d) {
             return d.object == id;
@@ -197,9 +148,9 @@ api::scripted_scenario shrink(api::scripted_scenario s,
     }
 
     // 1c. Merge same-kind object pairs: retarget the later object's ops onto
-    // the earlier one and drop the later declaration — fewer objects, same
-    // op count, often enough to collapse a cross-shard failure into one
-    // world.
+    // the earlier one and drop the later declaration and its pin — fewer
+    // objects, same op count, often enough to collapse a cross-shard failure
+    // into one world.
     for (int j = static_cast<int>(s.objects.size()) - 1; j >= 1; --j) {
       progress |= try_edit(s, fails, [j](api::scripted_scenario& c) {
         if (j >= static_cast<int>(c.objects.size())) return false;
@@ -217,6 +168,7 @@ api::scripted_scenario shrink(api::scripted_scenario s,
         const std::uint32_t to =
             c.objects[static_cast<std::size_t>(into)].id;
         c.objects.erase(c.objects.begin() + j);
+        c.placement.pins.erase(from);
         for (auto& [pid, ops] : c.scripts) {
           for (hist::op_desc& d : ops) {
             if (d.object == from) d.object = to;
@@ -331,16 +283,20 @@ api::scripted_scenario shrink(api::scripted_scenario s,
       c.backend = api::exec_backend::single;
       return true;
     });
-    // ... then the sharded-equivalence diff is dropped (shards -> 1): if the
-    // failure still survives, the simpler single-backend artifact is the one
-    // to debug.
+    // ... then the sharded-equivalence diff is dropped (shards -> 1, which
+    // also drops the placement and migration plan): if the failure still
+    // survives, the simpler single-backend artifact is the one to debug.
     progress |= try_edit(s, fails, [](api::scripted_scenario& c) {
       if (c.shards <= 1) return false;
       c.shards = 1;
+      c.placement = {};
+      c.migrations.clear();
       return true;
     });
 
-    // 5. Zero op arguments.
+    // 5. Zero op arguments — a Cas toward Cas(0, 1), the canonical form
+    // enforce_contracts gives Cas(0, 0). Lock ops carry their caller's pid,
+    // so zeroing one is not canonical and the contract check rejects it.
     for (int p : pids_of(s)) {
       std::size_t len =
           s.scripts.count(p) != 0 ? s.scripts.at(p).size() : 0;
@@ -349,21 +305,10 @@ api::scripted_scenario shrink(api::scripted_scenario s,
           auto cit = c.scripts.find(p);
           if (cit == c.scripts.end() || i >= cit->second.size()) return false;
           hist::op_desc& d = cit->second[i];
-          if (d.code == hist::opcode::lock_try ||
-              d.code == hist::opcode::lock_release) {
-            return false;  // lock args are the caller pid, not a value
-          }
-          if (d.code == hist::opcode::cas) {
-            // Preserve the old != new usage contract (detectable_cas.hpp):
-            // simplify toward Cas(0, 1), never the degenerate Cas(0, 0).
-            if (d.a == 0 && d.b == 1) return false;
-            d.a = 0;
-            d.b = 1;
-            return true;
-          }
-          if (d.a == 0 && d.b == 0) return false;
+          const hist::value_t b = d.code == hist::opcode::cas ? 1 : 0;
+          if (d.a == 0 && d.b == b) return false;
           d.a = 0;
-          d.b = 0;
+          d.b = b;
           return true;
         });
       }

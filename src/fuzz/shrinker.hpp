@@ -18,7 +18,16 @@
 //   3. drop crash steps,
 //   4. simplify knobs (placement → modulo, retry → skip, shared_cache →
 //      private, sharded backend → single, shards → 1),
-//   5. zero op argument values.
+//   5. zero op argument values (a Cas goes to Cas(0, 1)).
+//
+// Acceptance rule: a candidate is kept only if it still fails AND
+// fuzz::enforce_contracts leaves it unchanged. The usage contracts are
+// stated once, in that repair pass, so a shrunk repro can never fail for a
+// contract violation instead of the original defect, and every output is
+// canonical. Edits that would otherwise leave dead fields behind write the
+// canonical form themselves, so they stay applicable: shards → 1 also resets
+// the placement and clears the migration plan, and dropping (pass 1b) or
+// merging away (pass 1c) an object also erases its placement pin.
 //
 // Every candidate is produced deterministically from the current scenario,
 // so a shrink of the same failure always yields the same minimal scenario —

@@ -28,6 +28,14 @@ api::scripted_scenario single_object(const std::string& kind) {
   return s;
 }
 
+// `s` is canonical: enforce_contracts leaves it unchanged.
+void expect_canonical(const api::scripted_scenario& s) {
+  api::scripted_scenario repaired = s;
+  fuzz::enforce_contracts(repaired);
+  EXPECT_EQ(api::dump(repaired), api::dump(s))
+      << "not an enforce_contracts fixpoint";
+}
+
 // ---- generator --------------------------------------------------------------
 
 TEST(scenario_gen, same_seed_same_scenario) {
@@ -252,6 +260,31 @@ TEST(scenario_gen, mutate_is_deterministic_and_contract_preserving) {
   }
 }
 
+// The shrinker keeps only enforce_contracts fixpoints, so everything the
+// campaign can hand it must already be one: generated scenarios and chains
+// of mutants, over every pool, crashy lock scripts, migrations and pinned
+// placements. This also pins enforce_contracts as idempotent.
+TEST(scenario_gen, generated_and_mutated_scenarios_are_canonical) {
+  fuzz::gen_config cfg;
+  cfg.object_kind_pool = {"reg", "cas", "lock", "queue", "plain_reg"};
+  cfg.max_objects = 4;
+  cfg.max_shards = 4;
+  cfg.sched_pool = {"round_robin", "uniform_random", "pct"};
+  cfg.persist_pool = {"strict", "buffered"};
+  cfg.visibility_pool = {"sc", "tso", "pso"};
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    api::scripted_scenario s =
+        fuzz::generate(seed, seed % 2 == 0 ? "lock" : "cas", cfg);
+    expect_canonical(s);
+    std::uint64_t rng = seed * 31 + 7;
+    for (int round = 0; round < 6; ++round) {
+      s = fuzz::mutate(s, rng, cfg);
+      expect_canonical(s);
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
 // ---- registry-wide qualification under generated workloads ------------------
 
 class generated_qualification : public ::testing::TestWithParam<std::string> {};
@@ -373,8 +406,8 @@ TEST(differ, recovered_op_interval_anchors_at_first_recovery_attempt) {
 
 // The shrinker legally empties per-process scripts; an empty script still
 // submits a client task on the single backend, so the sharded replay must
-// schedule one too (on shard 0) or the worlds' task sets — and with them
-// seeded schedules and shard-local crash alignment — diverge.
+// schedule one too (on every shard) or the worlds' task sets — and with
+// them seeded schedules and shard-local crash alignment — diverge.
 TEST(differ, sharded_equivalence_survives_empty_scripts) {
   api::scripted_scenario s = single_object("reg");
   s.nprocs = 3;
@@ -388,6 +421,25 @@ TEST(differ, sharded_equivalence_survives_empty_scripts) {
   s.scripts[2] = {{0, hist::opcode::reg_read, 0, 0, 0}};
   fuzz::diff_report d = fuzz::diff_sharded(s, s.shards);
   EXPECT_TRUE(d.ok) << d.message;
+}
+
+// The shrunk failure of `fuzz_main --iters 300 --seed 21 --coverage
+// --visibility mixed`: hash placement puts the one object off shard 0, so
+// an idle process's empty task must land there too, or that world's seeded
+// scheduler picks among a different task set and the two swaps' responses
+// come back in the other order.
+TEST(differ, sharded_equivalence_keeps_idle_processes_on_every_shard) {
+  api::scripted_scenario s = single_object("swap");
+  s.nprocs = 3;
+  s.sched_seed = 11082870437133022535ULL;
+  s.shards = 4;
+  s.placement.kind = api::placement_kind::hash;
+  s.scripts[0] = {{0, hist::opcode::swap, 0, 0, 0}};
+  s.scripts[1] = {};
+  s.scripts[2] = {{0, hist::opcode::swap, 0, 0, 0}};
+  fuzz::diff_report d = fuzz::diff_sharded(s, s.shards);
+  EXPECT_TRUE(d.ok) << d.message;
+  EXPECT_EQ(fuzz::check_scenario(s), "");
 }
 
 TEST(differ, core_kinds_agree_with_their_variants) {
@@ -667,6 +719,7 @@ TEST(shrinker, synthetic_predicate_shrinks_to_one_op) {
   EXPECT_TRUE(shrunk.crash_steps.empty());
   EXPECT_EQ(shrunk.policy, core::runtime::fail_policy::skip);
   EXPECT_FALSE(shrunk.shared_cache);
+  expect_canonical(shrunk);
 }
 
 // The object-level passes: a needle on one object of a 4-object scenario
@@ -710,6 +763,7 @@ TEST(shrinker, drops_and_merges_objects) {
       EXPECT_NE(shrunk.find_object(d.object), nullptr);
     }
   }
+  expect_canonical(shrunk);
 }
 
 // A genuinely cross-object failure must keep both objects: merging loses
@@ -738,6 +792,7 @@ TEST(shrinker, keeps_objects_a_cross_object_failure_needs) {
   EXPECT_TRUE(fails(shrunk));
   EXPECT_EQ(shrunk.objects.size(), 2u) << api::dump(shrunk);
   EXPECT_EQ(shrunk.total_ops(), 2u) << api::dump(shrunk);
+  expect_canonical(shrunk);
 }
 
 // Shrinker edits must never cross the usage contracts the generator
@@ -788,6 +843,7 @@ TEST(shrinker, preserves_usage_contracts) {
       }
     }
   }
+  expect_canonical(lock_shrunk);
 
   // CAS: the zero-arguments pass must keep old != new.
   api::scripted_scenario cas_s = fuzz::generate(5, "cas");
@@ -809,6 +865,7 @@ TEST(shrinker, preserves_usage_contracts) {
       }
     }
   }
+  expect_canonical(cas_shrunk);
 }
 
 TEST(shrinker, passing_scenario_is_returned_unchanged) {
@@ -816,6 +873,49 @@ TEST(shrinker, passing_scenario_is_returned_unchanged) {
   api::scripted_scenario out =
       fuzz::shrink(s, [](const api::scripted_scenario&) { return false; });
   EXPECT_EQ(api::dump(out), api::dump(s));
+  expect_canonical(out);
+}
+
+// Shrink edits keep scenarios canonical. A failure that needs hash placement
+// on a sharded scenario keeps its shard count: shards -> 1 also resets the
+// placement (enforce_contracts would), so that edit no longer applies and
+// the output never reads "shards 1, placement hash". Likewise a failure that
+// needs a pinned placement sheds the pins of the objects it drops or merges.
+TEST(shrinker, outputs_are_enforce_contracts_fixpoints) {
+  using hist::opcode;
+  api::scripted_scenario hashed = single_object("reg");
+  hashed.objects.push_back({1, "reg", {}});
+  hashed.shards = 2;
+  hashed.placement.kind = api::placement_kind::hash;
+  hashed.scripts[0] = {{0, opcode::reg_write, 1, 0, 0},
+                       {1, opcode::reg_read, 0, 0, 0}};
+  hashed.scripts[1] = {{1, opcode::reg_write, 2, 0, 0}};
+  auto needs_hash = [](const api::scripted_scenario& c) {
+    return c.placement.kind == api::placement_kind::hash;
+  };
+  api::scripted_scenario shrunk = fuzz::shrink(hashed, needs_hash);
+  EXPECT_TRUE(needs_hash(shrunk));
+  EXPECT_EQ(shrunk.shards, 2) << api::dump(shrunk);
+  expect_canonical(shrunk);
+
+  api::scripted_scenario pinned = single_object("queue");
+  pinned.objects.push_back({1, "queue", {}});
+  pinned.objects.push_back({2, "counter", {}});
+  pinned.shards = 3;
+  pinned.placement.kind = api::placement_kind::pinned;
+  pinned.placement.pins = {{0, 2}, {1, 1}, {2, 0}};
+  pinned.scripts[0] = {{0, opcode::enq, 1, 0, 0},
+                       {1, opcode::enq, 2, 0, 0},
+                       {2, opcode::ctr_add, 1, 0, 0}};
+  pinned.scripts[1] = {{1, opcode::deq, 0, 0, 0}};
+  auto needs_pins = [](const api::scripted_scenario& c) {
+    return c.placement.kind == api::placement_kind::pinned;
+  };
+  shrunk = fuzz::shrink(pinned, needs_pins);
+  EXPECT_TRUE(needs_pins(shrunk));
+  EXPECT_EQ(shrunk.objects.size(), 1u) << api::dump(shrunk);
+  EXPECT_EQ(shrunk.placement.pins.size(), 1u) << api::dump(shrunk);
+  expect_canonical(shrunk);
 }
 
 // Shrinker validity against the real differ: minimizing a genuine
@@ -835,6 +935,7 @@ TEST(shrinker, real_diff_failure_shrinks_to_the_lying_read) {
   ASSERT_EQ(shrunk.total_ops(), 1u) << api::dump(shrunk);
   EXPECT_EQ(shrunk.scripts.begin()->second[0].code, opcode::ctr_read)
       << "the minimal failing scenario is the lone lying read";
+  expect_canonical(shrunk);
 }
 
 // ---- dump / parse round-tripping --------------------------------------------
@@ -1312,6 +1413,7 @@ TEST(shrinker, simplifies_placement_and_drops_migrations) {
   // modulo and the migration plan drops away.
   EXPECT_EQ(shrunk.placement, api::placement_policy{});
   EXPECT_TRUE(shrunk.migrations.empty());
+  expect_canonical(shrunk);
 }
 
 TEST(coverage, signature_carries_placement_and_migration_bits) {

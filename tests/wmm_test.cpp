@@ -402,6 +402,60 @@ TEST(wmm_determinism, sc_seed_streams_match_the_pre_wmm_golden_hashes) {
   EXPECT_EQ(hm, 4661788257893819786ULL);
 }
 
+// The pools-on half of the stream pin: with the visibility pool opted in
+// (next to the sched and persist pools) and shard counts up to 4, the
+// generator draws pinned placements, pct budgets, visibility models and
+// drain plans, and mutate's visibility-redraw, drain-edit and pct-perturb
+// cases all fire. 300 scenarios, each followed by a chain of four mutants,
+// must dump to the golden hash captured before those draws were factored
+// into shared helpers — every rng call stays in the same order.
+TEST(wmm_determinism, pooled_seed_streams_match_the_golden_hash) {
+  fuzz::gen_config cfg;
+  cfg.max_procs = 3;
+  cfg.max_ops = 6;
+  cfg.max_shards = 4;
+  cfg.max_objects = 3;
+  cfg.object_kind_pool = {"reg", "cas", "counter", "queue", "stack", "lock"};
+  cfg.sched_pool = {"round_robin", "uniform_random", "pct"};
+  cfg.persist_pool = {"strict", "buffered"};
+  cfg.visibility_pool = {"sc", "tso", "pso"};
+  const std::vector<std::string> kinds = {"reg",   "cas",     "counter",
+                                          "queue", "stack",   "swap",
+                                          "tas",   "max_reg", "lock"};
+  std::uint64_t h = 1469598103934665603ULL;
+  int pinned = 0;
+  int vis_redraws = 0;
+  int drain_edits = 0;
+  int pct_edits = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    api::scripted_scenario s =
+        fuzz::generate(seed, kinds[seed % kinds.size()], cfg);
+    h = fnv(h, api::dump(s));
+    std::uint64_t rng = seed * 7919 + 1;
+    for (int round = 0; round < 4; ++round) {
+      api::scripted_scenario m = fuzz::mutate(s, rng, cfg);
+      h = fnv(h, api::dump(m));
+      pinned += m.placement.kind == api::placement_kind::pinned ? 1 : 0;
+      vis_redraws += m.visibility != s.visibility ? 1 : 0;
+      drain_edits += m.visibility == s.visibility &&
+                             m.drain_steps != s.drain_steps
+                         ? 1
+                         : 0;
+      pct_edits += m.sched.strat == sched::strategy::pct &&
+                           s.sched.strat == sched::strategy::pct &&
+                           m.sched.pct_points != s.sched.pct_points
+                       ? 1
+                       : 0;
+      s = std::move(m);
+    }
+  }
+  EXPECT_GT(pinned, 0);
+  EXPECT_GT(vis_redraws, 0);
+  EXPECT_GT(drain_edits, 0);
+  EXPECT_GT(pct_edits, 0);
+  EXPECT_EQ(h, 16421785150965954204ULL);
+}
+
 // ---- generator pools --------------------------------------------------------
 
 TEST(scenario_gen_wmm, mixed_pool_reaches_every_visibility_model) {
